@@ -38,7 +38,6 @@ from .classify import (
     build_label_matrix,
     classify_regularized_residual,
     classify_residual,
-    classify_sa,
     fuse_coefficients,
     score,
     split_blocks,

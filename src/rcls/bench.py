@@ -10,6 +10,7 @@ Wall-clock stage times are collected for information; they are excluded from
 report equality so that repeated runs of the same config compare equal.
 """
 
+import functools
 import logging
 import os
 import time
@@ -29,7 +30,6 @@ from .classify import (
     split_blocks,
 )
 from .coders import (
-    DEFAULT_RESIDUAL_TOL,
     DEFAULT_SPARSITY,
     fit_crc,
     fit_procrc,
@@ -47,8 +47,14 @@ from .data import (
     synth,
     take_columns,
 )
-from .errors import ConfigError, DatasetError, DegenerateFusionError, RclsError
-from .linalg import gram, norm2
+from .errors import (
+    ConfigError,
+    DatasetError,
+    DegenerateFusionError,
+    ParameterError,
+    RclsError,
+)
+from .linalg import as_vec, gram, norm2
 
 log = logging.getLogger(__name__)
 
@@ -163,87 +169,62 @@ def aggregate_accuracy(accuracies):
     return mean, std
 
 
-class FittedSrc:
-    """l1 coding over the training dictionary, plain residual rule."""
-
-    method = "src"
-
-    def __init__(self, X, blocks, epsilon, lipschitz):
-        self.X = X
-        self.blocks = blocks
-        self.epsilon = epsilon
-        self.lipschitz = lipschitz
-
-    def compute_code(self, y):
-        return l1_solve(self.X, y, self.epsilon, lipschitz=self.lipschitz)
-
-    def decide(self, code, y):
-        return classify_residual(self.blocks, y, code)
+def _nonzero_sample(y):
+    y = as_vec(y, "y")
+    if not y.any():
+        raise ParameterError("test sample must be nonzero")
+    return y
 
 
-class FittedCrc:
-    """Precomputed ridge projector, regularized residual rule."""
+class _FittedResidual:
+    """A coder and a class-wise residual rule over the training blocks:
+    l1 code with the plain rule (src), ridge projector with the regularized
+    rule (crc), class-consistent projector with the plain rule (procrc)."""
 
-    method = "crc"
-
-    def __init__(self, projector, blocks):
-        self.projector = projector
+    def __init__(self, method, coder, rule, blocks):
+        self.method = method
+        self.coder = coder
+        self.rule = rule
         self.blocks = blocks
 
     def compute_code(self, y):
-        return self.projector.code(y)
+        return self.coder(_nonzero_sample(y))
 
     def decide(self, code, y):
-        return classify_regularized_residual(self.blocks, y, code)
-
-
-class FittedProCrc:
-    """Precomputed class-consistent projector, plain residual rule."""
-
-    method = "procrc"
-
-    def __init__(self, projector, blocks):
-        self.projector = projector
-        self.blocks = blocks
-
-    def decide(self, code, y):
-        return classify_residual(self.blocks, y, code)
-
-    def compute_code(self, y):
-        return self.projector.code(y)
+        return self.rule(self.blocks, y, code)
 
 
 class FittedSa:
     """Dense code + greedy sparse code, fused and scored per class.
 
-    compute_code/decide compose to the same result as the one-shot
-    sparsity-augmented classifier; the split exists so code computation and
-    decision can be timed separately.
+    compute_code/decide are split so code computation and decision can be
+    timed separately. When the two codes cancel exactly, the normalized
+    dense code is scored alone and the fallback is logged.
     """
 
-    def __init__(self, method, projector, X, L, k, residual_tol, blocks):
+    def __init__(self, method, projector, X, L, k, blocks):
         self.method = method
         self.projector = projector
         self.X = X
         self.L = L
         self.k = k
-        self.residual_tol = residual_tol
         self.blocks = blocks
 
     def compute_code(self, y):
+        y = _nonzero_sample(y)
         dense = self.projector.code(y)
-        sp = omp(self.X, y, self.k, self.residual_tol)
+        sp = omp(self.X, y, self.k)
         try:
             fused = fuse_coefficients(sp.coeffs, dense)
             dense_only = False
         except DegenerateFusionError:
+            nrm = norm2(dense)
+            if nrm == 0.0:
+                raise
             log.warning(
                 "degenerate fusion: sparse and dense codes cancel; "
                 "falling back to dense-only scoring"
             )
-            nrm = norm2(dense)
-            if nrm == 0.0:
-                raise
             fused = dense / nrm
             dense_only = True
         return SaCodes(sparse=sp, dense=dense, fused=fused, dense_only=dense_only)
@@ -267,7 +248,6 @@ def fit_method(
     gamma=DEFAULT_GAMMA,
     k=DEFAULT_SPARSITY,
     epsilon=DEFAULT_EPSILON,
-    residual_tol=DEFAULT_RESIDUAL_TOL,
 ):
     """Fit one of the five methods on a training Dataset.
 
@@ -281,19 +261,26 @@ def fit_method(
     blocks = split_blocks(train.X, sizes)
     if method == "src":
         lipschitz = 2.0 * float(np.linalg.eigvalsh(gram(train.X))[-1])
-        return FittedSrc(train.X, blocks, epsilon, lipschitz)
+        coder = functools.partial(
+            l1_solve, train.X, epsilon=epsilon, lipschitz=lipschitz
+        )
+        return _FittedResidual(method, coder, classify_residual, blocks)
+    if method in ("crc", "sa_crc"):
+        projector = fit_crc(train.X, lam)
+    elif method in ("procrc", "sa_procrc"):
+        projector = fit_procrc(train.X, sizes, lam, gamma)
+    else:
+        raise ConfigError(
+            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
+        )
     if method == "crc":
-        return FittedCrc(fit_crc(train.X, lam), blocks)
+        return _FittedResidual(
+            method, projector.code, classify_regularized_residual, blocks
+        )
     if method == "procrc":
-        return FittedProCrc(fit_procrc(train.X, sizes, lam, gamma), blocks)
-    if method in ("sa_crc", "sa_procrc"):
-        if method == "sa_crc":
-            projector = fit_crc(train.X, lam)
-        else:
-            projector = fit_procrc(train.X, sizes, lam, gamma)
-        L = build_label_matrix(train.labels, train.C)
-        return FittedSa(method, projector, train.X, L, k, residual_tol, blocks)
-    raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+        return _FittedResidual(method, projector.code, classify_residual, blocks)
+    L = build_label_matrix(train.labels, train.C)
+    return FittedSa(method, projector, train.X, L, k, blocks)
 
 
 def load_source(source):
@@ -322,9 +309,17 @@ def run_experiment(cfg):
     for its split, and a dataset-level random projection (when configured)
     uses base_seed. Returns an ExperimentReport.
     """
+    return _run_trials(_load_projected(cfg), cfg)
+
+
+def _load_projected(cfg):
     ds = load_source(cfg.dataset)
     if cfg.projection_dim is not None:
         ds = random_project(ds, cfg.projection_dim, seed=cfg.base_seed)
+    return ds
+
+
+def _run_trials(ds, cfg):
     seeds = tuple(cfg.base_seed + t for t in range(cfg.trials))
     stage = {"fit": 0.0, "code": 0.0, "classify": 0.0}
     accuracies = []
@@ -399,6 +394,7 @@ def compare_methods(cfgs):
     All configs must agree on everything except the method (same dataset,
     split sizes, trial count, seeds, projection); the splits are then
     identical across rows and differences are attributable to the method.
+    The dataset is loaded once for the whole table.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -412,7 +408,8 @@ def compare_methods(cfgs):
                     f"configs disagree on {name}: "
                     f"{getattr(first, name)!r} vs {getattr(cfg, name)!r}"
                 )
-    reports = tuple(run_experiment(cfg) for cfg in cfgs)
+    ds = _load_projected(first)
+    reports = tuple(_run_trials(ds, cfg) for cfg in cfgs)
     err_base = 100.0 - reports[0].mean
     rows = []
     for rep in reports:
@@ -509,7 +506,7 @@ def dump_diagnostics(state, y, out_dir):
     scores.csv (the decision scores). Augmented methods additionally get
     coefficients_sparse.csv and coefficients_dense.csv.
 
-    Returns the mapping of file name to path.
+    Returns the decision and the mapping of file name to path.
     """
     os.makedirs(out_dir, exist_ok=True)
     code = state.compute_code(y)
@@ -530,13 +527,7 @@ def dump_diagnostics(state, y, out_dir):
     C = len(sizes)
     atom_classes = np.repeat(np.arange(1, C + 1), sizes)
     n = int(sum(sizes))
-
-    residuals = np.empty(C)
-    start = 0
-    for i, block in enumerate(state.blocks):
-        width = sizes[i]
-        residuals[i] = norm2(y - block @ resid_code[start:start + width])
-        start += width
+    residuals = classify_residual(state.blocks, y, resid_code).scores
 
     files = {
         "coefficients.csv": _diag_csv(range(n), atom_classes, coeff),
@@ -551,7 +542,7 @@ def dump_diagnostics(state, y, out_dir):
         path = os.path.join(out_dir, fname)
         atomic_write_bytes(path, text.encode("utf-8"))
         written[fname] = path
-    return written
+    return decision, written
 
 
 _TOP_KEYS = {

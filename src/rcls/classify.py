@@ -5,33 +5,22 @@ fuse-then-score rule that sums a unit-normalized augmented coefficient per
 class through the one-hot label matrix.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coders import omp
 from .errors import (
     DatasetError,
     DegenerateDecisionError,
     DegenerateFusionError,
     DimensionError,
-    ParameterError,
 )
-from .linalg import as_vec, norm2
-
-log = logging.getLogger(__name__)
+from .linalg import _frozen_array, as_vec, norm2
 
 RULE_RESIDUAL = "residual"
 RULE_REGULARIZED_RESIDUAL = "regularized_residual"
 RULE_MAX_SCORE = "max_score"
-
-
-def _frozen_array(a):
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -191,51 +180,6 @@ def score(L, alpha_fused):
     for i, ix in enumerate(L.class_indices):
         q[i] = math.fsum(alpha[ix])
     return q
-
-
-def classify_sa(projector, X, L, y, k, residual_tol=1e-6, on_degenerate_fusion="raise"):
-    """Sparsity-augmented classification.
-
-    Four steps: dense code through the fitted projector, sparse code through
-    greedy pursuit, unit-normalized fusion of the two, per-class score
-    through the label matrix. The winner is the argmax of the scores.
-
-    Degenerate fusion (the two codes cancel exactly) raises by default;
-    ``on_degenerate_fusion="dense_only"`` falls back to scoring the
-    normalized dense code alone, with a logged warning.
-    """
-    y = as_vec(y, "y")
-    if norm2(y) == 0.0:
-        raise ParameterError("test sample must be nonzero")
-    if on_degenerate_fusion not in ("raise", "dense_only"):
-        raise ParameterError(
-            f"on_degenerate_fusion must be 'raise' or 'dense_only', "
-            f"got {on_degenerate_fusion!r}"
-        )
-    alpha_dense = projector.code(y)
-    alpha_sparse = omp(X, y, k, residual_tol).coeffs
-    try:
-        fused = fuse_coefficients(alpha_sparse, alpha_dense)
-    except DegenerateFusionError:
-        if on_degenerate_fusion == "raise":
-            raise
-        log.warning(
-            "degenerate fusion: sparse and dense codes cancel; "
-            "falling back to dense-only scoring"
-        )
-        dense_norm = norm2(alpha_dense)
-        if dense_norm == 0.0:
-            raise
-        fused = alpha_dense / dense_norm
-    q = score(L, fused)
-    best = q.max()
-    winners = np.flatnonzero(q == best)
-    return ClassDecision(
-        predicted_class=int(winners[0]) + 1,
-        scores=q,
-        rule=RULE_MAX_SCORE,
-        tie=winners.size > 1,
-    )
 
 
 def split_blocks(X, class_sizes):

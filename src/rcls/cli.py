@@ -26,6 +26,7 @@ from .bench import (
     fit_method,
     load_compare_configs,
     load_experiment_config,
+    load_source,
     report_csv,
     report_text,
     run_experiment,
@@ -35,8 +36,6 @@ from .coders import DEFAULT_SPARSITY
 from .data import (
     SynthSpec,
     atomic_write_bytes,
-    load_bin,
-    load_csv,
     normalize_columns,
     save_bin,
     save_csv,
@@ -118,12 +117,6 @@ def _add_method_params(p):
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
 
-def _load_any(path):
-    if os.fspath(path).lower().endswith(".csv"):
-        return load_csv(path)
-    return load_bin(path)
-
-
 def _group_by_class(ds):
     order = np.argsort(ds.labels, kind="stable")
     return take_columns(ds, order)
@@ -151,8 +144,8 @@ def _cmd_synth(args):
 
 
 def _cmd_classify(args):
-    train = normalize_columns(_group_by_class(_load_any(args.train)))
-    test = normalize_columns(_load_any(args.test))
+    train = normalize_columns(_group_by_class(load_source(args.train)))
+    test = normalize_columns(load_source(args.test))
     state = fit_method(
         args.method, train,
         lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
@@ -197,7 +190,7 @@ def _cmd_compare(args):
 
 
 def _cmd_diag(args):
-    ds = _load_any(args.train)
+    ds = load_source(args.train)
     i = args.sample_index
     if not 0 <= i < ds.n:
         raise ParameterError(
@@ -213,8 +206,7 @@ def _cmd_diag(args):
         lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
     )
     y = ds.X[:, i] / nrm
-    written = dump_diagnostics(state, y, args.out_dir)
-    decision = state.decide(state.compute_code(y), y)
+    decision, written = dump_diagnostics(state, y, args.out_dir)
     true_label = _original_label(ds, int(ds.labels[i]))
     predicted = _original_label(ds, decision.predicted_class)
     print(f"sample {i}: true class {true_label}, predicted {predicted}")
@@ -224,7 +216,7 @@ def _cmd_diag(args):
 
 
 def _cmd_convert(args):
-    ds = _load_any(args.in_path)
+    ds = load_source(args.in_path)
     if os.fspath(args.out).lower().endswith(".csv"):
         save_csv(ds, args.out)
     else:

@@ -7,7 +7,7 @@ baseline.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +18,12 @@ from .errors import (
     NormalizationError,
     ParameterError,
 )
-from .linalg import as_mat, as_vec, gram, norm2, spd_solve
+from .linalg import _frozen_array, as_mat, as_vec, gram, norm2, spd_solve
 
 # Column norms OMP will accept as "unit".
 UNIT_NORM_TOL = 1e-6
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_SPARSITY = 50
-
-
-def _frozen_array(a):
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -40,8 +34,6 @@ class CrcProjector:
     """
 
     P: np.ndarray
-    lam: float
-    n_atoms: int
 
     def __post_init__(self):
         object.__setattr__(self, "P", _frozen_array(self.P))
@@ -55,20 +47,13 @@ class ProCrcProjector:
     """Precomputed solve operator for the class-consistent dense coder.
 
     ``T = (X^T X + (gamma/C) S + lam I)^-1 X^T`` where S is the summed
-    leave-one-class-out Gram matrix (retained as ``gram_sum`` for
-    verification). ``class_sizes`` gives the contiguous class block widths.
+    leave-one-class-out Gram matrix (see ``build_gram_sum``).
     """
 
     T: np.ndarray
-    lam: float
-    gamma: float
-    class_sizes: tuple
-    gram_sum: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "T", _frozen_array(self.T))
-        object.__setattr__(self, "gram_sum", _frozen_array(self.gram_sum))
-        object.__setattr__(self, "class_sizes", tuple(int(s) for s in self.class_sizes))
 
     def code(self, y):
         return self.T @ as_vec(y, "y")
@@ -106,7 +91,7 @@ def fit_crc(X, lam):
     A = gram(X)
     A[np.diag_indices(n)] += lam
     P = spd_solve(A, X.T)
-    return CrcProjector(P=P, lam=float(lam), n_atoms=n)
+    return CrcProjector(P=P)
 
 
 def build_gram_sum(G, class_sizes):
@@ -157,14 +142,9 @@ def fit_procrc(X, class_sizes, lam, gamma):
         raise DimensionError(f"class sizes sum to {sum(sizes)} but X has {n} columns")
     C = len(sizes)
     G = gram(X)
-    S = build_gram_sum(G, sizes)
-    A = G + (gamma / C) * S
+    A = G + (gamma / C) * build_gram_sum(G, sizes)
     A[np.diag_indices(n)] += lam
-    T = spd_solve(A, X.T)
-    return ProCrcProjector(
-        T=T, lam=float(lam), gamma=float(gamma),
-        class_sizes=tuple(sizes), gram_sum=S,
-    )
+    return ProCrcProjector(T=spd_solve(A, X.T))
 
 
 def _check_unit_columns(X):

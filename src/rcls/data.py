@@ -10,30 +10,23 @@ seeded explicitly, so every result is a pure function of (inputs, seed).
 
 import csv
 import os
+import secrets
 import struct
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DataError,
     DatasetError,
-    DimensionError,
     FormatError,
     ParameterError,
     ParseError,
 )
-from .linalg import as_mat
+from .linalg import _frozen_array, as_mat
 
 BIN_MAGIC = b"RCLS"
 BIN_VERSION = 1
-
-
-def _frozen_array(a):
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,7 @@ class Dataset:
     """Feature matrix X (m x n, columns are samples) with 1..C labels.
 
     ``label_mapping[i]`` records the original label value that was remapped
-    to dense label i+1, when the dataset came from a file. ``column_scales``
-    records the norms divided out by ``normalize_columns``.
+    to dense label i+1, when the dataset came from a file.
     """
 
     X: np.ndarray
@@ -50,7 +42,6 @@ class Dataset:
     C: int
     name: str = ""
     label_mapping: tuple | None = None
-    column_scales: np.ndarray | None = None
 
     def __post_init__(self):
         X = as_mat(self.X, "X")
@@ -68,8 +59,6 @@ class Dataset:
             raise DatasetError(f"class {missing} has no samples")
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "labels", _frozen_array(labels))
-        if self.column_scales is not None:
-            object.__setattr__(self, "column_scales", _frozen_array(self.column_scales))
 
     @property
     def m(self):
@@ -129,10 +118,14 @@ class SynthSpec:
 
 def atomic_write_bytes(path, payload):
     """Write ``payload`` to ``path`` through a temp file + rename so a failed
-    run never leaves a partial artifact."""
+    run never leaves a partial artifact.
+
+    The file gets mode 0666 less the umask, as ``open`` would give it.
+    """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".rcls-tmp-")
+    tmp = os.path.join(d, f".rcls-tmp-{os.getpid()}-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -303,8 +296,7 @@ def save_bin(dataset, path):
 
 
 def normalize_columns(dataset):
-    """Scale every sample to unit l2 norm; the divided-out norms are kept in
-    ``column_scales`` for diagnostics."""
+    """Scale every sample to unit l2 norm."""
     norms = np.linalg.norm(dataset.X, axis=0)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -316,31 +308,20 @@ def normalize_columns(dataset):
         C=dataset.C,
         name=dataset.name,
         label_mapping=dataset.label_mapping,
-        column_scales=norms,
     )
 
 
-def random_project(dataset, target_dim, seed, projection=None):
+def random_project(dataset, target_dim, seed):
     """Project samples through a seeded Gaussian map R (target_dim x m)
-    with entries N(0, 1)/sqrt(target_dim).
-
-    ``projection`` overrides the sampled matrix (test hook).
-    """
+    with entries N(0, 1)/sqrt(target_dim)."""
     if target_dim > dataset.m:
         raise ParameterError(
             f"target_dim {target_dim} exceeds feature dimension {dataset.m}"
         )
     if target_dim < 1:
         raise ParameterError(f"target_dim must be >= 1, got {target_dim}")
-    if projection is None:
-        rng = np.random.default_rng(seed)
-        R = rng.standard_normal((target_dim, dataset.m)) / np.sqrt(target_dim)
-    else:
-        R = as_mat(projection, "projection")
-        if R.shape != (target_dim, dataset.m):
-            raise DimensionError(
-                f"projection must be {target_dim}x{dataset.m}, got {R.shape}"
-            )
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((target_dim, dataset.m)) / np.sqrt(target_dim)
     return Dataset(
         X=np.asfortranarray(R @ dataset.X),
         labels=dataset.labels,

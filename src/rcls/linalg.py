@@ -14,6 +14,13 @@ from .errors import DataError, DimensionError, SingularMatrixError, NumericalErr
 SOLVE_RTOL = 1e-8
 
 
+def _frozen_array(a):
+    """``a`` as an array marked read-only, for the fields of frozen records."""
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
 def as_mat(a, name="matrix"):
     """Validate and return ``a`` as a float64 column-major 2-D array.
 

@@ -24,9 +24,11 @@ from rcls.bench import (
     run_experiment,
     stage_summary,
 )
-from rcls.classify import classify_residual, classify_sa
-from rcls.data import Dataset, SynthSpec, normalize_columns, save_bin, synth
-from rcls.errors import ConfigError, DatasetError
+from rcls import bench
+from rcls.classify import classify_residual, fuse_coefficients, score
+from rcls.coders import omp
+from rcls.data import Dataset, SynthSpec, normalize_columns, save_bin, save_csv, synth
+from rcls.errors import ConfigError, DatasetError, ParameterError
 
 CLEAN = SynthSpec(C=3, ambient_dim=12, subspace_dim=2, per_class=8, seed=0)
 NOISY = SynthSpec(
@@ -132,12 +134,22 @@ def test_fitted_sa_matches_one_shot_classifier_bitwise():
             y = y / np.linalg.norm(y)
             codes = state.compute_code(y)
             got = state.decide(codes, y)
-            ref = classify_sa(
-                state.projector, state.X, state.L, y, state.k, state.residual_tol
+            # the one-shot composition of the four public steps
+            fused = fuse_coefficients(
+                omp(state.X, y, state.k).coeffs, state.projector.code(y)
             )
-            assert got.predicted_class == ref.predicted_class
-            assert np.array_equal(got.scores, ref.scores)
-            assert got.tie == ref.tie
+            q = score(state.L, fused)
+            assert got.predicted_class == int(np.argmax(q)) + 1
+            assert np.array_equal(got.scores, q)
+            assert got.tie == (np.count_nonzero(q == q.max()) > 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_test_sample_raises_parameter_error(method):
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    with pytest.raises(ParameterError, match="test sample must be nonzero"):
+        state.compute_code(np.zeros(train.m))
 
 
 # ---------------------------------------------------------------- experiments
@@ -240,6 +252,28 @@ def test_compare_methods_requires_shared_setup():
         compare_methods([])
 
 
+def test_compare_methods_loads_dataset_once(tmp_path, monkeypatch):
+    path = tmp_path / "noisy.csv"
+    save_csv(synth(NOISY), path)
+    calls = []
+    real_load_csv = bench.load_csv
+
+    def counting_load_csv(p):
+        calls.append(p)
+        return real_load_csv(p)
+
+    monkeypatch.setattr(bench, "load_csv", counting_load_csv)
+    cfgs = [
+        ExperimentConfig(
+            dataset=str(path), method=m, per_class_train=5, trials=2, k=4
+        )
+        for m in ("crc", "sa_procrc")
+    ]
+    table = compare_methods(cfgs)
+    assert len(calls) == 1
+    assert table.reports == tuple(run_experiment(cfg) for cfg in cfgs)
+
+
 def test_compare_methods_single_row():
     cfg = ExperimentConfig(dataset=NOISY, method="crc", per_class_train=5, trials=2)
     table = compare_methods([cfg])
@@ -318,7 +352,7 @@ def test_dump_diagnostics_row_counts_and_columns(tmp_path):
     train = grouped_train(NOISY, per_class_train=5)
     state = fit_method("crc", train, lam=0.001)
     y = train.X[:, 0]
-    files = dump_diagnostics(state, y, tmp_path / "diag")
+    decision, files = dump_diagnostics(state, y, tmp_path / "diag")
     assert set(files) == {"coefficients.csv", "residuals.csv", "scores.csv"}
     coeff = read_diag(files["coefficients.csv"])
     assert len(coeff) == train.n
@@ -327,13 +361,14 @@ def test_dump_diagnostics_row_counts_and_columns(tmp_path):
     scores = read_diag(files["scores.csv"])
     assert len(resid) == train.C and len(scores) == train.C
     assert [c for _, c, _ in resid] == [1, 2, 3, 4]
+    assert [v for _, _, v in scores] == list(decision.scores)
 
 
 def test_dump_diagnostics_identity_dictionary(tmp_path):
     ds = Dataset(X=np.eye(3), labels=[1, 2, 3], C=3)
     state = fit_method("crc", ds, lam=0.001)
     y = np.array([0.0, 1.0, 0.0])
-    files = dump_diagnostics(state, y, tmp_path / "diag")
+    _, files = dump_diagnostics(state, y, tmp_path / "diag")
     scores = read_diag(files["scores.csv"])
     best = min(scores, key=lambda row: row[2])
     assert best[1] == 2  # the atom matching y
@@ -343,7 +378,7 @@ def test_dump_diagnostics_sa_extra_files(tmp_path):
     train = grouped_train(NOISY, per_class_train=5)
     state = fit_method("sa_procrc", train, lam=0.001, gamma=0.5, k=4)
     y = train.X[:, 7]
-    files = dump_diagnostics(state, y, tmp_path / "diag")
+    _, files = dump_diagnostics(state, y, tmp_path / "diag")
     assert "coefficients_sparse.csv" in files
     assert "coefficients_dense.csv" in files
     fused = np.array([v for _, _, v in read_diag(files["coefficients.csv"])])
@@ -385,7 +420,7 @@ def test_diagnostics_exhibit_residual_vs_score_correction(tmp_path):
             break
     assert found is not None, "no correction event in five splits"
     state, y, true = found
-    files = dump_diagnostics(state, y, tmp_path / "diag")
+    _, files = dump_diagnostics(state, y, tmp_path / "diag")
     resid = read_diag(files["residuals.csv"])
     scores = read_diag(files["scores.csv"])
     resid_class = min(resid, key=lambda row: row[2])[1]

@@ -10,24 +10,33 @@ from rcls.classify import (
     build_label_matrix,
     classify_regularized_residual,
     classify_residual,
-    classify_sa,
     fuse_coefficients,
     score,
     split_blocks,
 )
-from rcls.coders import fit_crc, fit_procrc, omp
+from rcls.bench import FittedSa, fit_method
+from rcls.coders import fit_crc, omp
+from rcls.data import Dataset
 from rcls.errors import (
     DatasetError,
     DegenerateDecisionError,
     DegenerateFusionError,
     DimensionError,
-    ParameterError,
 )
 
 
 def unit_columns(rng, m, n):
     X = rng.standard_normal((m, n))
     return X / np.linalg.norm(X, axis=0)
+
+
+def fit_sa(X, labels, method="sa_procrc", **params):
+    """A fitted SA state over the columns of X, grouped by ``labels``."""
+    return fit_method(method, Dataset(X=X, labels=labels, C=max(labels)), **params)
+
+
+def classify_one(state, y):
+    return state.decide(state.compute_code(y), y)
 
 
 def test_build_label_matrix_basic():
@@ -230,10 +239,9 @@ def test_score_dimension_error():
 def test_classify_sa_singleton_classes():
     rng = np.random.default_rng(9)
     Q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
-    L = build_label_matrix([1, 2, 3, 4], 4)
-    proj = fit_procrc(Q, [1, 1, 1, 1], 0.001, 0.5)
+    state = fit_sa(Q, [1, 2, 3, 4], lam=0.001, gamma=0.5, k=2)
     for j in range(4):
-        d = classify_sa(proj, Q, L, Q[:, j], k=2)
+        d = classify_one(state, Q[:, j])
         assert d.predicted_class == j + 1
         assert d.rule == RULE_MAX_SCORE
 
@@ -246,10 +254,10 @@ def test_classify_sa_matches_step_replay_oracle():
     labels = np.repeat([1, 2, 3], sizes)
     L = build_label_matrix(labels, 3)
     lam, gamma, k = 0.001, 0.5, 4
-    proj = fit_procrc(X, sizes, lam, gamma)
+    state = fit_sa(X, labels, lam=lam, gamma=gamma, k=k)
     for _ in range(5):
         y = rng.standard_normal(9)
-        d = classify_sa(proj, X, L, y, k)
+        d = classify_one(state, y)
 
         # independent replay of all four steps
         G = X.T @ X
@@ -279,14 +287,6 @@ def test_classify_sa_matches_step_replay_oracle():
         assert np.allclose(d.scores, q_ref, rtol=1e-10, atol=1e-12)
 
 
-def test_classify_sa_rejects_zero_sample():
-    X = np.eye(3)
-    L = build_label_matrix([1, 2, 3], 3)
-    proj = fit_procrc(X, [1, 1, 1], 0.001, 0.5)
-    with pytest.raises(ParameterError):
-        classify_sa(proj, X, L, np.zeros(3), k=1)
-
-
 def test_classify_sa_full_support_orthonormal_self_consistency():
     # with k = n and an orthonormal dictionary the pursuit reduces to the
     # full least-squares code X^T y; the decision must match the max-score
@@ -295,11 +295,11 @@ def test_classify_sa_full_support_orthonormal_self_consistency():
     Q, _ = np.linalg.qr(rng.standard_normal((8, 6)))
     labels = [1, 1, 2, 2, 3, 3]
     L = build_label_matrix(labels, 3)
-    proj = fit_procrc(Q, [2, 2, 2], 0.001, 0.5)
+    state = fit_sa(Q, labels, lam=0.001, gamma=0.5, k=6)
     y = rng.standard_normal(8)
-    d = classify_sa(proj, Q, L, y, k=6, residual_tol=0.0)
+    d = classify_one(state, y)
     sparse_full = Q.T @ y
-    dense = proj.code(y)
+    dense = state.projector.code(y)
     fused = (sparse_full + dense) / np.linalg.norm(sparse_full + dense)
     q_ref = L.L @ fused
     assert d.predicted_class == int(np.argmax(q_ref)) + 1
@@ -318,42 +318,37 @@ class _NegatingProjector:
         return -omp(self.X, y, self.k).coeffs
 
 
-def test_classify_sa_degenerate_fusion_raises_by_default():
-    X = np.eye(2)
-    L = build_label_matrix([1, 2], 2)
-    proj = _NegatingProjector(X, 1)
-    y = np.array([1.0, 0.0])
-    with pytest.raises(DegenerateFusionError):
-        classify_sa(proj, X, L, y, k=1)
+def test_classify_sa_degenerate_fusion_zero_dense_code_raises(caplog):
+    # y is orthogonal to every atom: the pursuit selects nothing and the
+    # dense code is zero, so there is no dense code to fall back to either
+    state = fit_sa(np.eye(3)[:, :2], [1, 2], method="sa_crc", k=1)
+    with caplog.at_level(logging.WARNING, logger="rcls.bench"):
+        with pytest.raises(DegenerateFusionError):
+            state.compute_code(np.array([0.0, 0.0, 1.0]))
+    assert not any("falling back" in r.message for r in caplog.records)
 
 
 def test_classify_sa_dense_only_fallback_logged(caplog):
     X = np.eye(2)
     L = build_label_matrix([1, 2], 2)
-    proj = _NegatingProjector(X, 1)
+    state = FittedSa(
+        "sa_crc", _NegatingProjector(X, 1), X, L, 1, split_blocks(X, [1, 1])
+    )
     y = np.array([1.0, 0.0])
-    with caplog.at_level(logging.WARNING, logger="rcls.classify"):
-        d = classify_sa(proj, X, L, y, k=1, on_degenerate_fusion="dense_only")
+    with caplog.at_level(logging.WARNING, logger="rcls.bench"):
+        codes = state.compute_code(y)
+        d = state.decide(codes, y)
     assert any("degenerate fusion" in r.message for r in caplog.records)
+    assert codes.dense_only
     # dense code is (-1, 0): class 2 has the larger (zero) score
     assert d.predicted_class == 2
     assert np.array_equal(d.scores, np.array([-1.0, 0.0]))
 
 
-def test_classify_sa_bad_fallback_mode():
-    X = np.eye(2)
-    L = build_label_matrix([1, 2], 2)
-    proj = fit_crc(X, 0.001)
-    with pytest.raises(ParameterError):
-        classify_sa(proj, X, L, np.array([1.0, 0.0]), k=1, on_degenerate_fusion="skip")
-
-
 def test_max_score_tie_flags_lowest_class():
-    X = np.eye(2)
-    L = build_label_matrix([1, 2], 2)
-    proj = fit_crc(X, 0.001)
+    state = fit_sa(np.eye(2), [1, 2], method="sa_crc", lam=0.001, k=2)
     # y loads both atoms equally, so both class scores are the same number
-    d = classify_sa(proj, X, L, np.array([1.0, 1.0]), k=2, residual_tol=0.0)
+    d = classify_one(state, np.array([1.0, 1.0]))
     assert d.scores[0] == d.scores[1]
     assert d.predicted_class == 1
     assert d.tie

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rcls import cli
+from rcls import bench, cli
 from rcls.bench import load_experiment_config, run_experiment
 from rcls.data import load_bin, load_csv
 from rcls.errors import SingularMatrixError
@@ -164,6 +164,30 @@ def test_diag_writes_files(tmp_path, capsys):
         "scores.csv",
     ]
     assert out.count("wrote ") == 5
+
+
+def test_diag_codes_the_sample_once(tmp_path, capsys, monkeypatch):
+    data = make_data(tmp_path)
+    capsys.readouterr()
+    calls = []
+    real_omp = bench.omp
+
+    def counting_omp(*args, **kwargs):
+        calls.append(args)
+        return real_omp(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "omp", counting_omp)
+    out_dir = tmp_path / "diag"
+    rc = cli.main(
+        ["diag", "--train", str(data), "--sample-index", "4",
+         "--method", "sa_procrc", "--k", "2", "--out-dir", str(out_dir)]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    # the printed prediction is the argmax of the scores written to disk
+    rows = (out_dir / "scores.csv").read_text().splitlines()[1:]
+    best = max(rows, key=lambda r: float(r.split(",")[2])).split(",")[1]
+    assert capsys.readouterr().out.startswith(f"sample 4: true class 2, predicted {best}\n")
 
 
 def test_diag_sample_index_out_of_range(tmp_path, capsys):

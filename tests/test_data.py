@@ -1,4 +1,5 @@
 import os
+import stat
 import struct
 
 import numpy as np
@@ -254,7 +255,6 @@ def test_normalize_columns_three_four_five():
     ds = Dataset(X=np.array([[3.0], [4.0]]), labels=[1], C=1)
     out = normalize_columns(ds)
     assert np.array_equal(out.X, np.array([[0.6], [0.8]]))
-    assert out.column_scales[0] == 5.0
 
 
 def test_normalize_columns_idempotent():
@@ -264,7 +264,6 @@ def test_normalize_columns_idempotent():
     twice = normalize_columns(once)
     assert np.allclose(np.linalg.norm(once.X, axis=0), 1.0, rtol=0, atol=1e-15)
     assert np.allclose(twice.X, once.X, rtol=0, atol=1e-15)
-    assert np.allclose(twice.column_scales, 1.0, rtol=0, atol=1e-15)
 
 
 def test_normalize_columns_zero_column_names_index():
@@ -297,13 +296,6 @@ def test_random_project_deterministic():
     assert np.array_equal(a.X, b.X)
     assert not np.array_equal(a.X, c.X)
     assert a.m == 10 and a.n == ds.n
-
-
-def test_random_project_identity_hook():
-    rng = np.random.default_rng(16)
-    ds = random_dataset(rng, 7, 3, 2)
-    out = random_project(ds, 7, seed=0, projection=np.eye(7))
-    assert np.array_equal(out.X, ds.X)
 
 
 def test_random_project_roughly_preserves_distances():
@@ -429,3 +421,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert p.read_bytes() == b"world"
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".rcls-tmp-")]
     assert leftovers == []
+
+
+def test_outputs_get_mode_from_umask(tmp_path):
+    ds = random_dataset(np.random.default_rng(25), 3, 2, 2)
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        old = os.umask(umask)
+        try:
+            save_bin(ds, tmp_path / "d.rcls")
+            save_csv(ds, tmp_path / "d.csv")
+        finally:
+            os.umask(old)
+        for name in ("d.rcls", "d.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
