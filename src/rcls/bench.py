@@ -199,21 +199,24 @@ class FittedSa:
 
     compute_code/decide are split so code computation and decision can be
     timed separately. When the two codes cancel exactly, the normalized
-    dense code is scored alone and the fallback is logged.
+    dense code is scored alone and the fallback is logged. ``G`` is the
+    Gram matrix of ``X``, built once per fit and shared by every sample's
+    pursuit.
     """
 
-    def __init__(self, method, projector, X, L, k, blocks):
+    def __init__(self, method, projector, X, L, k, blocks, G):
         self.method = method
         self.projector = projector
         self.X = X
         self.L = L
         self.k = k
         self.blocks = blocks
+        self.G = G
 
     def compute_code(self, y):
         y = _nonzero_sample(y)
         dense = self.projector.code(y)
-        sp = omp(self.X, y, self.k)
+        sp = omp(self.X, y, self.k, G=self.G)
         try:
             fused = fuse_coefficients(sp.coeffs, dense)
             dense_only = False
@@ -252,27 +255,34 @@ def fit_method(
     """Fit one of the five methods on a training Dataset.
 
     The train columns must be unit-normalized and grouped by class (the
-    order produced by split + take_columns).
+    order produced by split + take_columns). The Gram matrix of the train
+    columns is built once here and shared by every stage that needs it.
     """
+    if method not in METHODS:
+        raise ConfigError(
+            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
+        )
     labels = np.asarray(train.labels)
     if (np.diff(labels) < 0).any():
         raise DatasetError("training columns must be grouped by class")
+    if method.startswith("sa_") and not 1 <= k <= min(train.m, train.n):
+        raise ParameterError(
+            f"k must be in [1, {min(train.m, train.n)}] for {train.m}-dimensional "
+            f"samples and {train.n} training atoms, got {k}"
+        )
     sizes = train.class_sizes
     blocks = split_blocks(train.X, sizes)
+    G = gram(train.X)
     if method == "src":
-        lipschitz = 2.0 * float(np.linalg.eigvalsh(gram(train.X))[-1])
+        lipschitz = 2.0 * float(np.linalg.eigvalsh(G)[-1])
         coder = functools.partial(
             l1_solve, train.X, epsilon=epsilon, lipschitz=lipschitz
         )
         return _FittedResidual(method, coder, classify_residual, blocks)
     if method in ("crc", "sa_crc"):
-        projector = fit_crc(train.X, lam)
-    elif method in ("procrc", "sa_procrc"):
-        projector = fit_procrc(train.X, sizes, lam, gamma)
+        projector = fit_crc(train.X, lam, G=G)
     else:
-        raise ConfigError(
-            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-        )
+        projector = fit_procrc(train.X, sizes, lam, gamma, G=G)
     if method == "crc":
         return _FittedResidual(
             method, projector.code, classify_regularized_residual, blocks
@@ -280,7 +290,7 @@ def fit_method(
     if method == "procrc":
         return _FittedResidual(method, projector.code, classify_residual, blocks)
     L = build_label_matrix(train.labels, train.C)
-    return FittedSa(method, projector, train.X, L, k, blocks)
+    return FittedSa(method, projector, train.X, L, k, blocks, G)
 
 
 def load_source(source):

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     ConvergenceWarning,
@@ -24,6 +25,10 @@ from .linalg import _frozen_array, as_mat, as_vec, gram, norm2, spd_solve
 UNIT_NORM_TOL = 1e-6
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_SPARSITY = 50
+# Squared distance from the span of the support, relative to the atom's
+# squared norm, at or below which OMP treats a chosen atom as dependent
+# (sin of its angle to the span at most 1e-5).
+DEPENDENT_ATOM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,17 +83,28 @@ class SparseCode:
             raise ParameterError("support indices must be distinct")
 
 
-def fit_crc(X, lam):
+def _gram_of(X, G):
+    """``G`` checked as X's n x n Gram matrix, or ``gram(X)`` when None."""
+    n = X.shape[1]
+    if G is None:
+        return gram(X)
+    if np.shape(G) != (n, n):
+        raise DimensionError(f"G must be {n}x{n}, got shape {np.shape(G)}")
+    return G
+
+
+def fit_crc(X, lam, G=None):
     """Fit the ridge-regularized dense coder.
 
     Solves (X^T X + lam I) P = X^T by Cholesky so that P maps a test sample
-    straight to its dense coefficients.
+    straight to its dense coefficients. ``G`` may carry a precomputed
+    ``gram(X)``; it is not modified.
     """
     X = as_mat(X, "X")
     if lam <= 0:
         raise ParameterError(f"lam must be > 0, got {lam}")
     n = X.shape[1]
-    A = gram(X)
+    A = np.array(_gram_of(X, G), order="F")
     A[np.diag_indices(n)] += lam
     P = spd_solve(A, X.T)
     return CrcProjector(P=P)
@@ -120,12 +136,13 @@ def build_gram_sum(G, class_sizes):
     return np.asfortranarray(S)
 
 
-def fit_procrc(X, class_sizes, lam, gamma):
+def fit_procrc(X, class_sizes, lam, gamma, G=None):
     """Fit the class-consistent dense coder.
 
     Adds a per-class consistency penalty, weight gamma/C, on top of the ridge
     objective. gamma = 0 reduces exactly to the plain ridge coder. Columns of
-    X must be grouped by class in ``class_sizes`` order.
+    X must be grouped by class in ``class_sizes`` order. ``G`` may carry a
+    precomputed ``gram(X)``; it is not modified.
     """
     X = as_mat(X, "X")
     if lam <= 0:
@@ -141,14 +158,13 @@ def fit_procrc(X, class_sizes, lam, gamma):
     if sum(sizes) != n:
         raise DimensionError(f"class sizes sum to {sum(sizes)} but X has {n} columns")
     C = len(sizes)
-    G = gram(X)
+    G = _gram_of(X, G)
     A = G + (gamma / C) * build_gram_sum(G, sizes)
     A[np.diag_indices(n)] += lam
     return ProCrcProjector(T=spd_solve(A, X.T))
 
 
-def _check_unit_columns(X):
-    norms = np.linalg.norm(X, axis=0)
+def _check_unit_norms(norms):
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
     if bad.size:
         raise NormalizationError(
@@ -157,40 +173,68 @@ def _check_unit_columns(X):
         )
 
 
-def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL):
+def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL, G=None):
     """Greedy orthogonal matching pursuit.
 
     Per iteration: pick the atom with the largest |correlation| against the
     current residual (ties to the lowest index), re-solve least squares on
     the accrued support, update the residual. Stops after k atoms, when the
     residual norm drops to ``residual_tol``, or when the residual has no
-    correlation left with any unselected atom.
+    correlation left with any unselected atom. The chosen atom counts as
+    having no correlation left when it is numerically in the span of the
+    support: when its squared distance from that span (the new Cholesky
+    pivot) is at most ``DEPENDENT_ATOM_TOL`` times its squared norm. So an
+    atom and an exact copy of it are never both selected.
+
+    The correlations are kept through the Gram matrix (Batch-OMP):
+    ``X^T r = X^T y - G[:, S] x_S``, and the least-squares solve extends a
+    Cholesky factor of ``G[S, S]`` by one row per atom. ``G`` may carry a
+    precomputed ``gram(X)`` so batch callers build it once per dictionary;
+    it is computed here otherwise. The residual and its norm are computed
+    explicitly from the coefficients.
     """
     X = as_mat(X, "X")
     y = as_vec(y, "y")
     m, n = X.shape
     if y.shape[0] != m:
         raise DimensionError(f"y has length {y.shape[0]}, X has {m} rows")
-    _check_unit_columns(X)
+    G = _gram_of(X, G)
+    _check_unit_norms(np.sqrt(np.diag(G)))
     if not 1 <= k <= min(m, n):
         raise ParameterError(f"k must be in [1, {min(m, n)}], got {k}")
 
+    b = X.T @ y
+    G_S = np.empty((n, k), order="F")  # G[:, support]
+    X_S = np.empty((m, k), order="F")  # X[:, support]
+    chol = np.zeros((k, k), order="F")  # lower Cholesky factor of G[S, S]
+    z = np.empty(k)  # chol^-1 b[S], extended by one entry per atom
     support = []
     sol = np.zeros(0)
-    residual = y.copy()
-    for _ in range(k):
-        res_norm = norm2(residual)
-        if res_norm <= residual_tol:
+    corr = b
+    residual = y
+    for i in range(k):
+        if np.linalg.norm(residual) <= residual_tol:
             break
-        corr = np.abs(X.T @ residual)
-        if support:
-            corr[support] = -1.0
-        j = int(np.argmax(corr))
-        if corr[j] <= 0.0:
+        a = np.abs(corr)
+        a[support] = -1.0
+        j = int(np.argmax(a))
+        if a[j] <= 0.0:
             break
+        # new row of the factor: chol w = G[S, j] (row j of G_S, as G is
+        # symmetric), pivot G[j, j] - w.w
+        w = lapack.dtrtrs(chol[:i, :i], G_S[j, :i], lower=1)[0] if i else np.zeros(0)
+        pivot = G[j, j] - w @ w
+        if pivot <= DEPENDENT_ATOM_TOL * G[j, j]:
+            break
+        chol[i, :i] = w
+        chol[i, i] = np.sqrt(pivot)
+        z[i] = (b[j] - w @ z[:i]) / chol[i, i]
+        sol = lapack.dtrtrs(chol[: i + 1, : i + 1], z[: i + 1], lower=1, trans=1)[0]
         support.append(j)
-        sol, _, _, _ = np.linalg.lstsq(X[:, support], y, rcond=None)
-        residual = y - X[:, support] @ sol
+        G_S[:, i] = G[:, j]
+        X_S[:, i] = X[:, j]
+        corr = b - G_S[:, : i + 1] @ sol
+        residual = y - X_S[:, : i + 1] @ sol
 
     coeffs = np.zeros(n)
     if support:
@@ -222,7 +266,7 @@ def l1_solve(X, y, epsilon, max_iter=2000, lipschitz=None):
     y = as_vec(y, "y")
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
-    _check_unit_columns(X)
+    _check_unit_norms(np.linalg.norm(X, axis=0))
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     if max_iter < 1:

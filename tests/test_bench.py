@@ -144,6 +144,54 @@ def test_fitted_sa_matches_one_shot_classifier_bitwise():
             assert got.tie == (np.count_nonzero(q == q.max()) > 1)
 
 
+@pytest.mark.parametrize("method", ["sa_crc", "sa_procrc"])
+def test_sa_fit_builds_one_gram_and_codes_like_one_shot_omp(method, monkeypatch):
+    from rcls import coders, linalg
+
+    calls = []
+
+    def counting_gram(X):
+        calls.append(X.shape)
+        return linalg.gram(X)
+
+    monkeypatch.setattr(bench, "gram", counting_gram)
+    monkeypatch.setattr(coders, "gram", counting_gram)
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, lam=0.001, gamma=0.5, k=6)
+    assert calls == [(train.m, train.n)]
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        y = rng.standard_normal(train.m)
+        got = state.compute_code(y).sparse
+        ref = omp(train.X, y, 6)
+        assert got.support == ref.support
+        assert np.array_equal(got.coeffs, ref.coeffs)
+        assert got.final_residual_norm == ref.final_residual_norm
+
+
+def test_sa_k_above_dictionary_size_fails_at_fit_time(monkeypatch):
+    coded = []
+    monkeypatch.setattr(bench, "omp", lambda *args, **kwargs: coded.append(args))
+    # 10-dimensional samples, 2 classes x 10 training atoms: k <= 10
+    spec = SynthSpec(C=2, ambient_dim=10, subspace_dim=2, per_class=15,
+                     noise_sigma=0.1, seed=0)
+    for method in ("sa_crc", "sa_procrc"):
+        cfg = ExperimentConfig(dataset=spec, method=method, per_class_train=10,
+                               trials=2, base_seed=3, k=11)
+        with pytest.raises(
+            ParameterError,
+            match=r"k must be in \[1, 10\].*got 11 \(while running trial 0, seed 3\)",
+        ):
+            run_experiment(cfg)
+    assert coded == []
+    train = grouped_train(spec, per_class_train=10)
+    fit_method("sa_crc", train, k=10)
+    for method in ("src", "crc", "procrc"):
+        fit_method(method, train, k=11)  # k is not used by these
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_zero_test_sample_raises_parameter_error(method):
     train = grouped_train(NOISY, per_class_train=5)

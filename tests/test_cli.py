@@ -256,6 +256,17 @@ def test_corrupt_data_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: FormatError:")
 
 
+def test_bench_k_above_dictionary_size_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    # 12-dimensional samples, 3 classes x 4 training atoms: k <= 12
+    cfg_path.write_text(CONFIG.replace("method: crc", "method: sa_procrc") + "k: 13\n")
+    assert cli.main(["bench", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ParameterError: k must be in [1, 12]")
+    assert err.rstrip().endswith("got 13 (while running trial 0, seed 0)")
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(CONFIG)

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcls.coders import (
+    DEPENDENT_ATOM_TOL,
     build_gram_sum,
     fit_crc,
     fit_procrc,
@@ -17,6 +20,7 @@ from rcls.errors import (
     NormalizationError,
     ParameterError,
 )
+from rcls.linalg import gram
 
 
 def unit_columns(rng, m, n):
@@ -309,6 +313,127 @@ def test_omp_input_validation():
         omp(Xu, np.ones(6), 5)
     with pytest.raises(DimensionError):
         omp(Xu, np.ones(5), 2)
+    G = gram(Xu)
+    with pytest.raises(DimensionError):
+        omp(Xu, np.ones(6), 2, G=G[:3, :3])
+    # the unit-norm check reads the diagonal of a passed Gram matrix
+    G[2, 2] = 1.1
+    with pytest.raises(NormalizationError, match="column 2"):
+        omp(Xu, np.ones(6), 2, G=G)
+
+
+def lstsq_omp(X, y, k, residual_tol):
+    """Oracle: the textbook pursuit, one full correlation product and one
+    least-squares solve on X[:, support] per iteration."""
+    support = []
+    sol = np.zeros(0)
+    residual = y.copy()
+    for _ in range(k):
+        if np.linalg.norm(residual) <= residual_tol:
+            break
+        corr = np.abs(X.T @ residual)
+        corr[support] = -1.0
+        j = int(np.argmax(corr))
+        if corr[j] <= 0.0:
+            break
+        support.append(j)
+        sol, _, _, _ = np.linalg.lstsq(X[:, support], y, rcond=None)
+        residual = y - X[:, support] @ sol
+    coeffs = np.zeros(X.shape[1])
+    coeffs[support] = sol
+    return tuple(support), coeffs
+
+
+@st.composite
+def tied_pursuits(draw):
+    """A unit dictionary and a sample whose first pursuit steps are exact
+    ties, plus k.
+
+    The tie rows T carry signed canonical atoms e_t and signed copies of
+    them; the sample is +-c on every row of T. Every correlation of a
+    canonical atom is then computed exactly by both algorithms while the
+    support holds only canonical atoms, so the ties are exact. The generic
+    atoms have norm 0.2 on T and c > 2 ||y off T||, so no generic atom
+    reaches c and the |T| tied atoms come first; after them the copies are
+    dependent and the generic atoms decide, with no ties left."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(4, 12))
+    n_tied = draw(st.integers(1, min(3, m - 2)))
+    n_copies = draw(st.integers(0, 3))
+    n_generic = draw(st.integers(m, m + 8))
+    k = draw(st.integers(1, m - 2))
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(m, size=n_tied, replace=False)
+    rest = np.setdiff1d(np.arange(m), rows)
+    generic = np.zeros((m, n_generic))
+    generic[rows] = 0.2 * unit_columns(rng, n_tied, n_generic)
+    generic[rest] = np.sqrt(1.0 - 0.2**2) * unit_columns(rng, m - n_tied, n_generic)
+    canon_rows = np.concatenate([rows, rng.choice(rows, size=n_copies)])
+    canon = np.zeros((m, canon_rows.size))
+    canon[canon_rows, np.arange(canon_rows.size)] = rng.choice([-1.0, 1.0], canon_rows.size)
+    X = np.hstack([generic, canon])[:, rng.permutation(n_generic + canon_rows.size)]
+    y = rng.standard_normal(m)
+    y[rows] = (2.0 * np.linalg.norm(y[rest]) + 1.0) * rng.choice([-1.0, 1.0], n_tied)
+    return np.asfortranarray(X), y, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_pursuits())
+def test_omp_matches_lstsq_oracle_with_exact_ties(case):
+    X, y, k = case
+    sc = omp(X, y, k, residual_tol=0.0)
+    support, coeffs = lstsq_omp(X, y, k, residual_tol=0.0)
+    assert sc.support == support
+    first = np.abs(X.T @ y)
+    assert sc.support[0] == int(np.flatnonzero(first == first.max())[0])
+    assert np.abs(sc.coeffs - coeffs).max() <= 1e-10
+    r = y - X @ sc.coeffs
+    assert np.abs(X[:, list(sc.support)].T @ r).max() <= 1e-8
+    assert sc.final_residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
+
+
+def test_omp_never_selects_an_atom_and_its_copy():
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        base = unit_columns(rng, 8, 7)
+        copies = rng.choice(7, size=2, replace=False)
+        X = np.hstack([base, base[:, copies] * rng.choice([-1.0, 1.0], 2)])
+        X = X[:, rng.permutation(9)]
+        y = rng.standard_normal(8)
+        sc = omp(X, y, 8, residual_tol=0.0)
+        S = list(sc.support)
+        # 7 independent atoms in R^8: the pursuit takes each once, then
+        # finds no correlation left
+        assert len(S) == 7
+        assert np.linalg.matrix_rank(X[:, S]) == len(S)
+        ls = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
+        assert np.abs(sc.coeffs[S] - ls).max() <= 1e-9 * np.abs(ls).max()
+        r = y - X @ sc.coeffs
+        assert np.abs(X[:, S].T @ r).max() <= 1e-8
+
+
+def test_omp_dependent_atom_tolerance():
+    # atom 1 sits at angle theta from atom 0; it is selected while its
+    # squared distance from span{atom 0} (sin^2 theta) exceeds the tolerance
+    for sin2, selected in ((100 * DEPENDENT_ATOM_TOL, 2), (DEPENDENT_ATOM_TOL / 100, 1)):
+        s = np.sqrt(sin2)
+        X = np.array([[1.0, np.sqrt(1.0 - sin2)], [0.0, s]])
+        y = np.array([1.0, 1.0])
+        assert len(omp(X, y, 2, residual_tol=0.0).support) == selected
+
+
+def test_fit_with_precomputed_gram_is_bitwise_equal_and_leaves_it_intact():
+    rng = np.random.default_rng(19)
+    X = unit_columns(rng, 12, 9)
+    G = gram(X)
+    kept = G.copy()
+    assert np.array_equal(fit_crc(X, 0.01, G=G).P, fit_crc(X, 0.01).P)
+    assert np.array_equal(
+        fit_procrc(X, [4, 5], 0.01, 0.5, G=G).T, fit_procrc(X, [4, 5], 0.01, 0.5).T
+    )
+    assert np.array_equal(G, kept)
+    with pytest.raises(DimensionError):
+        fit_crc(X, 0.01, G=G[:3])
 
 
 def test_l1_solve_exact_atom_concentrates():
