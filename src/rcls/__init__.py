@@ -21,7 +21,7 @@ from .errors import (
     RclsError,
     SingularMatrixError,
 )
-from .linalg import as_mat, as_vec, gram, norm2, spd_solve
+from .linalg import Dictionary, as_mat, as_vec, gram, spd_solve
 from .coders import (
     CrcProjector,
     ProCrcProjector,

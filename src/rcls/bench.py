@@ -31,6 +31,7 @@ from .classify import (
 )
 from .coders import (
     DEFAULT_SPARSITY,
+    check_param,
     fit_crc,
     fit_procrc,
     l1_solve,
@@ -54,7 +55,7 @@ from .errors import (
     ParameterError,
     RclsError,
 )
-from .linalg import as_vec, gram, norm2
+from .linalg import Dictionary, as_vec
 
 log = logging.getLogger(__name__)
 
@@ -120,14 +121,11 @@ class ExperimentConfig:
         for p in _REQUIRED_PARAMS[self.method]:
             if getattr(self, p) is None:
                 raise ConfigError(f"method {self.method!r} requires parameter {p!r}")
-        if self.lam is not None and not self.lam > 0:
-            raise ConfigError(f"lam must be > 0, got {self.lam}")
-        if self.gamma is not None and self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        for p in ("lam", "gamma", "epsilon"):
+            if getattr(self, p) is not None:
+                check_param(p, getattr(self, p), zero_ok=p == "gamma", error=ConfigError)
         if self.k is not None and not _is_count(self.k):
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -199,29 +197,27 @@ class FittedSa:
 
     compute_code/decide are split so code computation and decision can be
     timed separately. When the two codes cancel exactly, the normalized
-    dense code is scored alone and the fallback is logged. ``G`` is the
-    Gram matrix of ``X``, built once per fit and shared by every sample's
-    pursuit.
+    dense code is scored alone and the fallback is logged. ``D`` is the
+    train Dictionary, shared by every sample's pursuit.
     """
 
-    def __init__(self, method, projector, X, L, k, blocks, G):
+    def __init__(self, method, projector, D, L, k, blocks):
         self.method = method
         self.projector = projector
-        self.X = X
+        self.D = D
         self.L = L
         self.k = k
         self.blocks = blocks
-        self.G = G
 
     def compute_code(self, y):
         y = _nonzero_sample(y)
         dense = self.projector.code(y)
-        sp = omp(self.X, y, self.k, G=self.G)
+        sp = omp(self.D, y, self.k)
         try:
             fused = fuse_coefficients(sp.coeffs, dense)
             dense_only = False
         except DegenerateFusionError:
-            nrm = norm2(dense)
+            nrm = float(np.linalg.norm(dense))
             if nrm == 0.0:
                 raise
             log.warning(
@@ -255,8 +251,8 @@ def fit_method(
     """Fit one of the five methods on a training Dataset.
 
     The train columns must be unit-normalized and grouped by class (the
-    order produced by split + take_columns). The Gram matrix of the train
-    columns is built once here and shared by every stage that needs it.
+    order produced by split + take_columns). One Dictionary of the train
+    columns, checked and its Gram matrix built once, serves every stage.
     """
     if method not in METHODS:
         raise ConfigError(
@@ -272,17 +268,15 @@ def fit_method(
         )
     sizes = train.class_sizes
     blocks = split_blocks(train.X, sizes)
-    G = gram(train.X)
+    D = Dictionary(train.X)
     if method == "src":
-        lipschitz = 2.0 * float(np.linalg.eigvalsh(G)[-1])
-        coder = functools.partial(
-            l1_solve, train.X, epsilon=epsilon, lipschitz=lipschitz
-        )
+        D.lipschitz  # the l1 step bound is part of the fit, not of a sample
+        coder = functools.partial(l1_solve, D, epsilon=epsilon)
         return _FittedResidual(method, coder, classify_residual, blocks)
     if method in ("crc", "sa_crc"):
-        projector = fit_crc(train.X, lam, G=G)
+        projector = fit_crc(D, lam)
     else:
-        projector = fit_procrc(train.X, sizes, lam, gamma, G=G)
+        projector = fit_procrc(D, sizes, lam, gamma)
     if method == "crc":
         return _FittedResidual(
             method, projector.code, classify_regularized_residual, blocks
@@ -290,7 +284,7 @@ def fit_method(
     if method == "procrc":
         return _FittedResidual(method, projector.code, classify_residual, blocks)
     L = build_label_matrix(train.labels, train.C)
-    return FittedSa(method, projector, train.X, L, k, blocks, G)
+    return FittedSa(method, projector, D, L, k, blocks)
 
 
 def load_source(source):

@@ -16,7 +16,7 @@ from .errors import (
     DegenerateFusionError,
     DimensionError,
 )
-from .linalg import _frozen_array, as_vec, norm2
+from .linalg import _frozen_array, as_vec
 
 RULE_RESIDUAL = "residual"
 RULE_REGULARIZED_RESIDUAL = "regularized_residual"
@@ -125,7 +125,7 @@ def classify_residual(X_blocks, y, alpha):
     scores = np.empty(len(X_blocks))
     for i, B in enumerate(X_blocks):
         a_i = alpha[offsets[i]:offsets[i + 1]]
-        scores[i] = norm2(y - np.asarray(B) @ a_i)
+        scores[i] = np.linalg.norm(y - np.asarray(B) @ a_i)
     return _argmin_decision(scores, RULE_RESIDUAL)
 
 
@@ -139,11 +139,11 @@ def classify_regularized_residual(X_blocks, y, alpha):
     scores = np.empty(len(X_blocks))
     for i, B in enumerate(X_blocks):
         a_i = alpha[offsets[i]:offsets[i + 1]]
-        denom = norm2(a_i)
+        denom = np.linalg.norm(a_i)
         if denom == 0.0:
             scores[i] = np.inf
         else:
-            scores[i] = norm2(y - np.asarray(B) @ a_i) / denom
+            scores[i] = np.linalg.norm(y - np.asarray(B) @ a_i) / denom
     if not np.isfinite(scores).any():
         raise DegenerateDecisionError("every class has a zero coefficient block")
     return _argmin_decision(scores, RULE_REGULARIZED_RESIDUAL)
@@ -158,7 +158,7 @@ def fuse_coefficients(alpha_sparse, alpha_dense):
             f"coefficient lengths differ: {a.shape[0]} vs {b.shape[0]}"
         )
     s = a + b
-    nrm = norm2(s)
+    nrm = float(np.linalg.norm(s))
     if nrm == 0.0:
         raise DegenerateFusionError("sparse and dense coefficients cancel exactly")
     return s / nrm

@@ -43,7 +43,6 @@ from .data import (
     take_columns,
 )
 from .errors import DataError, NumericalError, ParameterError, RclsError
-from .linalg import norm2
 
 
 class _UsageError(Exception):
@@ -198,7 +197,7 @@ def _cmd_diag(args):
         )
     rest = [j for j in range(ds.n) if j != i]
     train = normalize_columns(_group_by_class(take_columns(ds, rest)))
-    nrm = norm2(ds.X[:, i])
+    nrm = float(np.linalg.norm(ds.X[:, i]))
     if nrm == 0.0:
         raise DataError(f"sample {i} is zero and cannot be normalized")
     state = fit_method(

@@ -6,6 +6,7 @@ sparse coder, and an iterative-shrinkage l1 solver for the sparse-residual
 baseline.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .errors import (
     NormalizationError,
     ParameterError,
 )
-from .linalg import _frozen_array, as_mat, as_vec, gram, norm2, spd_solve
+from .linalg import _frozen_array, as_dictionary, as_mat, as_vec, spd_solve
 
 # Column norms OMP will accept as "unit".
 UNIT_NORM_TOL = 1e-6
@@ -83,31 +84,24 @@ class SparseCode:
             raise ParameterError("support indices must be distinct")
 
 
-def _gram_of(X, G):
-    """``G`` checked as X's n x n Gram matrix, or ``gram(X)`` when None."""
-    n = X.shape[1]
-    if G is None:
-        return gram(X)
-    if np.shape(G) != (n, n):
-        raise DimensionError(f"G must be {n}x{n}, got shape {np.shape(G)}")
-    return G
+def check_param(name, value, zero_ok=False, error=ParameterError):
+    """Raise ``error`` unless ``value`` is finite and > 0 (>= 0 if ``zero_ok``)."""
+    bound = ">=" if zero_ok else ">"
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise error(f"{name} must be finite and {bound} 0, got {value}")
 
 
-def fit_crc(X, lam, G=None):
+def fit_crc(X, lam):
     """Fit the ridge-regularized dense coder.
 
     Solves (X^T X + lam I) P = X^T by Cholesky so that P maps a test sample
-    straight to its dense coefficients. ``G`` may carry a precomputed
-    ``gram(X)``; it is not modified.
+    straight to its dense coefficients. ``X`` is a matrix or a Dictionary.
     """
-    X = as_mat(X, "X")
-    if lam <= 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    n = X.shape[1]
-    A = np.array(_gram_of(X, G), order="F")
-    A[np.diag_indices(n)] += lam
-    P = spd_solve(A, X.T)
-    return CrcProjector(P=P)
+    D = as_dictionary(X)
+    check_param("lam", lam)
+    A = np.array(D.G, order="F")
+    A[np.diag_indices(A.shape[0])] += lam
+    return CrcProjector(P=spd_solve(A, D.X.T))
 
 
 def build_gram_sum(G, class_sizes):
@@ -136,35 +130,33 @@ def build_gram_sum(G, class_sizes):
     return np.asfortranarray(S)
 
 
-def fit_procrc(X, class_sizes, lam, gamma, G=None):
+def fit_procrc(X, class_sizes, lam, gamma):
     """Fit the class-consistent dense coder.
 
     Adds a per-class consistency penalty, weight gamma/C, on top of the ridge
     objective. gamma = 0 reduces exactly to the plain ridge coder. Columns of
-    X must be grouped by class in ``class_sizes`` order. ``G`` may carry a
-    precomputed ``gram(X)``; it is not modified.
+    X (a matrix or a Dictionary) must be grouped by class in ``class_sizes``
+    order.
     """
-    X = as_mat(X, "X")
-    if lam <= 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    if gamma < 0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
+    D = as_dictionary(X)
+    check_param("lam", lam)
+    check_param("gamma", gamma, zero_ok=True)
     sizes = [int(s) for s in class_sizes]
     if len(sizes) < 1:
         raise ParameterError("need at least one class")
     if any(s < 1 for s in sizes):
         raise DatasetError(f"every class must be nonempty, got sizes {sizes}")
-    n = X.shape[1]
+    n = D.X.shape[1]
     if sum(sizes) != n:
         raise DimensionError(f"class sizes sum to {sum(sizes)} but X has {n} columns")
     C = len(sizes)
-    G = _gram_of(X, G)
-    A = G + (gamma / C) * build_gram_sum(G, sizes)
+    A = D.G + (gamma / C) * build_gram_sum(D.G, sizes)
     A[np.diag_indices(n)] += lam
-    return ProCrcProjector(T=spd_solve(A, X.T))
+    return ProCrcProjector(T=spd_solve(A, D.X.T))
 
 
-def _check_unit_norms(norms):
+def _check_unit_norms(G):
+    norms = np.sqrt(np.diag(G))
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
     if bad.size:
         raise NormalizationError(
@@ -173,7 +165,7 @@ def _check_unit_norms(norms):
         )
 
 
-def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL, G=None):
+def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Greedy orthogonal matching pursuit.
 
     Per iteration: pick the atom with the largest |correlation| against the
@@ -188,18 +180,17 @@ def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL, G=None):
 
     The correlations are kept through the Gram matrix (Batch-OMP):
     ``X^T r = X^T y - G[:, S] x_S``, and the least-squares solve extends a
-    Cholesky factor of ``G[S, S]`` by one row per atom. ``G`` may carry a
-    precomputed ``gram(X)`` so batch callers build it once per dictionary;
-    it is computed here otherwise. The residual and its norm are computed
-    explicitly from the coefficients.
+    Cholesky factor of ``G[S, S]`` by one row per atom. ``X`` is a matrix
+    or, to build G once for many samples, a Dictionary. The residual and
+    its norm are computed explicitly from the coefficients.
     """
-    X = as_mat(X, "X")
+    D = as_dictionary(X)
+    X, G = D.X, D.G
     y = as_vec(y, "y")
     m, n = X.shape
     if y.shape[0] != m:
         raise DimensionError(f"y has length {y.shape[0]}, X has {m} rows")
-    G = _gram_of(X, G)
-    _check_unit_norms(np.sqrt(np.diag(G)))
+    _check_unit_norms(G)
     if not 1 <= k <= min(m, n):
         raise ParameterError(f"k must be in [1, {min(m, n)}], got {k}")
 
@@ -242,7 +233,7 @@ def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL, G=None):
     return SparseCode(
         coeffs=coeffs,
         support=tuple(support),
-        final_residual_norm=norm2(residual),
+        final_residual_norm=float(np.linalg.norm(residual)),
     )
 
 
@@ -250,7 +241,7 @@ def _soft_threshold(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def l1_solve(X, y, epsilon, max_iter=2000, lipschitz=None):
+def l1_solve(X, y, epsilon, max_iter=2000):
     """Approximate solver for the error-constrained l1 coding problem.
 
     Runs iterative shrinkage on the penalized form
@@ -259,27 +250,25 @@ def l1_solve(X, y, epsilon, max_iter=2000, lipschitz=None):
     iteration budget is spent. On non-convergence the best iterate seen (by
     residual norm) is returned and a ConvergenceWarning is issued.
 
-    ``lipschitz`` may carry a precomputed bound 2 * lambda_max(X^T X) so
-    batch callers avoid re-estimating it per sample.
+    ``X`` is a matrix or, to compute the step bound 2 * lambda_max(X^T X)
+    once for many samples, a Dictionary.
     """
-    X = as_mat(X, "X")
+    D = as_dictionary(X)
+    X = D.X
     y = as_vec(y, "y")
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
-    _check_unit_norms(np.linalg.norm(X, axis=0))
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    _check_unit_norms(D.G)
+    check_param("epsilon", epsilon)
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
 
     n = X.shape[1]
-    if lipschitz is None:
-        lipschitz = 2.0 * float(np.linalg.eigvalsh(gram(X))[-1])
-    step = 1.0 / lipschitz
+    step = 1.0 / D.lipschitz
 
     alpha = np.zeros(n)
     best = alpha
-    best_res = norm2(y)
+    best_res = float(np.linalg.norm(y))
     tau_max = 2.0 * float(np.max(np.abs(X.T @ y)))
     tau = 0.5 * tau_max
 
@@ -294,7 +283,7 @@ def l1_solve(X, y, epsilon, max_iter=2000, lipschitz=None):
             alpha = new
             if delta <= 1e-10 * (1.0 + float(np.max(np.abs(alpha)))):
                 break
-        res = norm2(y - X @ alpha)
+        res = float(np.linalg.norm(y - X @ alpha))
         if res < best_res:
             best, best_res = alpha, res
         if res <= epsilon:

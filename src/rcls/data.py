@@ -51,9 +51,9 @@ class Dataset:
                 f"need one label per sample: {labels.size} labels, "
                 f"{X.shape[1]} samples"
             )
-        counts = np.bincount(labels, minlength=self.C + 1)
         if labels.min() < 1 or labels.max() > self.C:
             raise DatasetError(f"labels must lie in 1..{self.C}")
+        counts = np.bincount(labels, minlength=self.C + 1)
         if (counts[1:self.C + 1] == 0).any():
             missing = int(np.flatnonzero(counts[1:self.C + 1] == 0)[0]) + 1
             raise DatasetError(f"class {missing} has no samples")

@@ -1,9 +1,11 @@
-"""Dense linear-algebra kernel: validated arrays, Gram products, SPD solves.
+"""Dense linear algebra: checked arrays and dictionaries, Gram, SPD solves.
 
 Everything is 64-bit floating point. Matrices are stored column-major so a
 sample (one column) is contiguous. Inverses are never formed explicitly;
 systems are solved through a Cholesky factorization.
 """
+
+import functools
 
 import numpy as np
 from scipy.linalg import lapack
@@ -107,7 +109,22 @@ def spd_solve(A, B):
     return S[:, 0] if b_was_vec else np.asfortranarray(S)
 
 
-def norm2(v):
-    """Euclidean norm of a vector."""
-    v = as_vec(v, "v")
-    return float(np.linalg.norm(v))
+class Dictionary:
+    """A dictionary X (columns are atoms) checked once, with what coding
+    needs from it alone: ``G = gram(X)``, built on construction, and the l1
+    step bound ``lipschitz`` = 2 * lambda_max(G), computed on first use.
+    ``X`` and ``G`` are read-only; the caller's array stays writeable."""
+
+    def __init__(self, X):
+        X = as_mat(X, "X")
+        self.X = _frozen_array(X.view())
+        self.G = _frozen_array(gram(X))
+
+    @functools.cached_property
+    def lipschitz(self):
+        return 2.0 * float(np.linalg.eigvalsh(self.G)[-1])
+
+
+def as_dictionary(X):
+    """``X`` itself when it is a Dictionary, else ``Dictionary(X)``."""
+    return X if isinstance(X, Dictionary) else Dictionary(X)

@@ -76,6 +76,17 @@ def test_config_rejects_bad_parameter_ranges():
         ExperimentConfig(dataset=CLEAN, method="src", per_class_train=4, epsilon=0.0)
 
 
+@pytest.mark.parametrize("method, param", [
+    ("crc", "lam"), ("procrc", "gamma"), ("src", "epsilon"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_parameters(method, param, value):
+    with pytest.raises(ConfigError, match=f"{param} must be finite"):
+        ExperimentConfig(
+            dataset=CLEAN, method=method, per_class_train=4, **{param: value}
+        )
+
+
 def test_config_requires_method_parameters():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(dataset=CLEAN, method="src", per_class_train=4, epsilon=None)
@@ -136,7 +147,7 @@ def test_fitted_sa_matches_one_shot_classifier_bitwise():
             got = state.decide(codes, y)
             # the one-shot composition of the four public steps
             fused = fuse_coefficients(
-                omp(state.X, y, state.k).coeffs, state.projector.code(y)
+                omp(state.D.X, y, state.k).coeffs, state.projector.code(y)
             )
             q = score(state.L, fused)
             assert got.predicted_class == int(np.argmax(q)) + 1
@@ -146,16 +157,16 @@ def test_fitted_sa_matches_one_shot_classifier_bitwise():
 
 @pytest.mark.parametrize("method", ["sa_crc", "sa_procrc"])
 def test_sa_fit_builds_one_gram_and_codes_like_one_shot_omp(method, monkeypatch):
-    from rcls import coders, linalg
+    from rcls import linalg
 
     calls = []
+    gram = linalg.gram
 
     def counting_gram(X):
         calls.append(X.shape)
-        return linalg.gram(X)
+        return gram(X)
 
-    monkeypatch.setattr(bench, "gram", counting_gram)
-    monkeypatch.setattr(coders, "gram", counting_gram)
+    monkeypatch.setattr(linalg, "gram", counting_gram)
     train = grouped_train(NOISY, per_class_train=5)
     state = fit_method(method, train, lam=0.001, gamma=0.5, k=6)
     assert calls == [(train.m, train.n)]
@@ -190,6 +201,46 @@ def test_sa_k_above_dictionary_size_fails_at_fit_time(monkeypatch):
     fit_method("sa_crc", train, k=10)
     for method in ("src", "crc", "procrc"):
         fit_method(method, train, k=11)  # k is not used by these
+
+
+def test_sa_coding_never_rechecks_the_dictionary(monkeypatch):
+    from rcls import classify, coders, data, linalg
+
+    train = grouped_train(NOISY, per_class_train=5)
+    rng = np.random.default_rng(4)
+    for method in ("sa_crc", "sa_procrc"):
+        state = fit_method(method, train, k=6)
+        calls = []
+        as_mat = linalg.as_mat
+
+        def counting_as_mat(a, name="matrix"):
+            calls.append(np.shape(a))
+            return as_mat(a, name)
+
+        # every rcls module that holds as_mat gets the counting one
+        for mod in (linalg, coders, classify, data, bench):
+            if getattr(mod, "as_mat", None) is as_mat:
+                monkeypatch.setattr(mod, "as_mat", counting_as_mat)
+        for _ in range(3):
+            state.compute_code(rng.standard_normal(train.m))
+        assert calls == []
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_only_src_fit_computes_the_lipschitz_bound(method, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    state.compute_code(train.X[:, 0])
+    assert calls == ([(train.n, train.n)] if method == "src" else [])
 
 
 @pytest.mark.parametrize("method", METHODS)

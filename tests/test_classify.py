@@ -17,7 +17,7 @@ from rcls.classify import (
 from rcls.bench import FittedSa, fit_method
 from rcls.coders import fit_crc, omp
 from rcls.data import Dataset
-from rcls.linalg import gram
+from rcls.linalg import Dictionary
 from rcls.errors import (
     DatasetError,
     DegenerateDecisionError,
@@ -333,7 +333,7 @@ def test_classify_sa_dense_only_fallback_logged(caplog):
     X = np.eye(2)
     L = build_label_matrix([1, 2], 2)
     state = FittedSa(
-        "sa_crc", _NegatingProjector(X, 1), X, L, 1, split_blocks(X, [1, 1]), gram(X)
+        "sa_crc", _NegatingProjector(X, 1), Dictionary(X), L, 1, split_blocks(X, [1, 1])
     )
     y = np.array([1.0, 0.0])
     with caplog.at_level(logging.WARNING, logger="rcls.bench"):

@@ -302,3 +302,23 @@ def test_csv_dataset_in_config(tmp_path, capsys):
     )
     assert cli.main(["bench", "--config", str(cfg_path)]) == 0
     assert "method: crc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method, flag, param", [
+    ("crc", "--lambda", "lam"), ("procrc", "--gamma", "gamma"),
+    ("src", "--epsilon", "epsilon"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_classify_non_finite_parameter_exits_one(
+    tmp_path, capsys, method, flag, param, value
+):
+    data = make_data(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(
+        ["classify", "--train", str(data), "--test", str(data),
+         "--method", method, flag, value]
+    )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: ParameterError: {param} must be finite")

@@ -20,7 +20,7 @@ from rcls.errors import (
     NormalizationError,
     ParameterError,
 )
-from rcls.linalg import gram
+from rcls.linalg import Dictionary
 
 
 def unit_columns(rng, m, n):
@@ -313,13 +313,18 @@ def test_omp_input_validation():
         omp(Xu, np.ones(6), 5)
     with pytest.raises(DimensionError):
         omp(Xu, np.ones(5), 2)
-    G = gram(Xu)
+    D = Dictionary(Xu)
     with pytest.raises(DimensionError):
-        omp(Xu, np.ones(6), 2, G=G[:3, :3])
-    # the unit-norm check reads the diagonal of a passed Gram matrix
-    G[2, 2] = 1.1
-    with pytest.raises(NormalizationError, match="column 2"):
-        omp(Xu, np.ones(6), 2, G=G)
+        omp(D, np.ones(5), 2)
+    # a Dictionary's Gram matrix cannot be tampered with, and the unit-norm
+    # check reads its diagonal
+    with pytest.raises(ValueError):
+        D.G[2, 2] = 1.1
+    Xt = Xu.copy()
+    Xt[:, 2] *= np.sqrt(1.1)
+    for coder in (omp, l1_solve):
+        with pytest.raises(NormalizationError, match="column 2"):
+            coder(Dictionary(Xt), np.ones(6), 2)
 
 
 def lstsq_omp(X, y, k, residual_tol):
@@ -422,18 +427,50 @@ def test_omp_dependent_atom_tolerance():
         assert len(omp(X, y, 2, residual_tol=0.0).support) == selected
 
 
-def test_fit_with_precomputed_gram_is_bitwise_equal_and_leaves_it_intact():
+def test_coders_over_a_dictionary_are_bitwise_equal_and_leave_it_intact():
     rng = np.random.default_rng(19)
     X = unit_columns(rng, 12, 9)
-    G = gram(X)
-    kept = G.copy()
-    assert np.array_equal(fit_crc(X, 0.01, G=G).P, fit_crc(X, 0.01).P)
+    y = rng.standard_normal(12)
+    D = Dictionary(X)
+    kept = D.G.copy()
+    assert np.array_equal(fit_crc(D, 0.01).P, fit_crc(X, 0.01).P)
     assert np.array_equal(
-        fit_procrc(X, [4, 5], 0.01, 0.5, G=G).T, fit_procrc(X, [4, 5], 0.01, 0.5).T
+        fit_procrc(D, [4, 5], 0.01, 0.5).T, fit_procrc(X, [4, 5], 0.01, 0.5).T
     )
-    assert np.array_equal(G, kept)
+    got, ref = omp(D, y, 5, residual_tol=0.0), omp(X, y, 5, residual_tol=0.0)
+    assert got.support == ref.support
+    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert got.final_residual_norm == ref.final_residual_norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        assert np.array_equal(
+            l1_solve(D, y, 0.05, max_iter=300), l1_solve(X, y, 0.05, max_iter=300)
+        )
+    assert np.array_equal(D.G, kept) and np.array_equal(D.X, X)
     with pytest.raises(DimensionError):
-        fit_crc(X, 0.01, G=G[:3])
+        fit_procrc(D, [4, 4], 0.01, 0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda X: fit_crc(X, NAN),
+        lambda X: fit_crc(X, INF),
+        lambda X: fit_procrc(X, [2, 2], NAN, 0.5),
+        lambda X: fit_procrc(X, [2, 2], 0.01, NAN),
+        lambda X: fit_procrc(X, [2, 2], 0.01, INF),
+        lambda X: l1_solve(X, X[:, 0], NAN),
+        lambda X: l1_solve(X, X[:, 0], INF),
+    ],
+    ids=["crc-lam-nan", "crc-lam-inf", "procrc-lam-nan", "procrc-gamma-nan",
+         "procrc-gamma-inf", "l1-epsilon-nan", "l1-epsilon-inf"],
+)
+def test_non_finite_parameters_raise_parameter_error(fit):
+    with pytest.raises(ParameterError, match="must be finite"):
+        fit(np.eye(4))
 
 
 def test_l1_solve_exact_atom_concentrates():

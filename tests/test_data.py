@@ -44,6 +44,8 @@ def test_dataset_validation():
         Dataset(X=X, labels=[1, 2], C=2)
     with pytest.raises(DatasetError):
         Dataset(X=X, labels=[0, 1, 2], C=2)
+    with pytest.raises(DatasetError, match="labels must lie in 1..2"):
+        Dataset(X=X, labels=[1, -1, 2], C=2)
     with pytest.raises(DatasetError):
         Dataset(X=X, labels=[1, 1, 3], C=3)
     ds = Dataset(X=X, labels=[1, 1, 2], C=2)

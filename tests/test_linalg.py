@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rcls.errors import DataError, DimensionError, NumericalError, SingularMatrixError
-from rcls.linalg import as_mat, as_vec, gram, norm2, spd_solve
+from rcls.linalg import Dictionary, as_dictionary, as_mat, as_vec, gram, spd_solve
 
 
 def test_as_mat_validation():
@@ -122,19 +122,34 @@ def test_spd_solve_shape_errors():
         spd_solve(np.eye(3), np.ones((2, 2)))
 
 
-def test_norm2_trivial():
-    assert norm2(np.array([3.0, 4.0])) == 5.0
-    assert norm2(np.zeros(7)) == 0.0
-
-
-def test_norm2_matches_scalar_loop():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        v = rng.standard_normal(int(rng.integers(1, 50)))
-        ref = sum(float(x) * float(x) for x in v) ** 0.5
-        assert abs(norm2(v) - ref) <= 1e-14 * (1.0 + ref)
-
-
-def test_norm2_rejects_nonfinite():
+def test_dictionary_checks_once_and_keeps_the_callers_array_writeable():
+    rng = np.random.default_rng(4)
+    X = np.asfortranarray(rng.standard_normal((6, 4)))
+    D = Dictionary(X)
+    assert X.flags.writeable
+    assert np.shares_memory(D.X, X) and np.array_equal(D.X, X)
+    assert np.array_equal(D.G, gram(X))
+    for a in (D.X, D.G):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    assert as_dictionary(D) is D
     with pytest.raises(DataError):
-        norm2(np.array([1.0, np.inf]))
+        Dictionary(np.array([[1.0, np.nan]]))
+    with pytest.raises(DimensionError):
+        Dictionary(np.ones(3))
+
+
+def test_dictionary_lipschitz_is_computed_once_on_first_use(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    D = Dictionary(np.diag([1.0, 2.0, 3.0]))
+    assert calls == []
+    assert D.lipschitz == 18.0  # 2 * lambda_max(diag(1, 4, 9))
+    assert D.lipschitz == 18.0
+    assert calls == [(3, 3)]
