@@ -20,8 +20,8 @@ import numpy as np
 import yaml
 
 from .classify import (
-    RULE_MAX_SCORE,
-    ClassDecision,
+    _class_residuals,
+    _pick_class,
     build_label_matrix,
     classify_regularized_residual,
     classify_residual,
@@ -214,30 +214,18 @@ class FittedSa:
         dense = self.projector.code(y)
         sp = omp(self.D, y, self.k)
         try:
-            fused = fuse_coefficients(sp.coeffs, dense)
-            dense_only = False
+            return SaCodes(sparse=sp, dense=dense, fused=fuse_coefficients(sp.coeffs, dense))
         except DegenerateFusionError:
-            nrm = float(np.linalg.norm(dense))
-            if nrm == 0.0:
-                raise
-            log.warning(
-                "degenerate fusion: sparse and dense codes cancel; "
-                "falling back to dense-only scoring"
-            )
-            fused = dense / nrm
-            dense_only = True
-        return SaCodes(sparse=sp, dense=dense, fused=fused, dense_only=dense_only)
+            fused = fuse_coefficients(np.zeros_like(dense), dense)
+        log.warning(
+            "degenerate fusion: sparse and dense codes cancel; "
+            "falling back to dense-only scoring"
+        )
+        return SaCodes(sparse=sp, dense=dense, fused=fused, dense_only=True)
 
     def decide(self, code, y):
         q = score(self.L, code.fused)
-        best = q.max()
-        winners = np.flatnonzero(q == best)
-        return ClassDecision(
-            predicted_class=int(winners[0]) + 1,
-            scores=q,
-            rule=RULE_MAX_SCORE,
-            tie=winners.size > 1,
-        )
+        return _pick_class(q, q.max())
 
 
 def fit_method(
@@ -531,7 +519,7 @@ def dump_diagnostics(state, y, out_dir):
     C = len(sizes)
     atom_classes = np.repeat(np.arange(1, C + 1), sizes)
     n = int(sum(sizes))
-    residuals = classify_residual(state.blocks, y, resid_code).scores
+    residuals = _class_residuals(state.blocks, y, resid_code)[0]
 
     files = {
         "coefficients.csv": _diag_csv(range(n), atom_classes, coeff),

@@ -18,10 +18,6 @@ from .errors import (
 )
 from .linalg import _frozen_array, as_vec
 
-RULE_RESIDUAL = "residual"
-RULE_REGULARIZED_RESIDUAL = "regularized_residual"
-RULE_MAX_SCORE = "max_score"
-
 
 @dataclass(frozen=True)
 class LabelMatrix:
@@ -33,12 +29,10 @@ class LabelMatrix:
     """
 
     L: np.ndarray
-    class_sizes: tuple
     class_indices: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "L", _frozen_array(self.L))
-        object.__setattr__(self, "class_sizes", tuple(int(s) for s in self.class_sizes))
         object.__setattr__(
             self, "class_indices", tuple(_frozen_array(ix) for ix in self.class_indices)
         )
@@ -63,8 +57,7 @@ class ClassDecision:
 
     predicted_class: int
     scores: np.ndarray
-    rule: str
-    tie: bool = False
+    tie: bool
 
     def __post_init__(self):
         object.__setattr__(self, "scores", _frozen_array(self.scores))
@@ -82,38 +75,44 @@ def build_label_matrix(labels, C):
     L = np.zeros((C, n))
     L[labels - 1, np.arange(n)] = 1.0
     indices = tuple(np.flatnonzero(labels == c) for c in range(1, C + 1))
-    sizes = tuple(ix.size for ix in indices)
-    if any(s == 0 for s in sizes):
-        empty = sizes.index(0) + 1
-        raise DatasetError(f"class {empty} has no samples")
-    return LabelMatrix(L=L, class_sizes=sizes, class_indices=indices)
+    for c, ix in enumerate(indices, start=1):
+        if ix.size == 0:
+            raise DatasetError(f"class {c} has no samples")
+    return LabelMatrix(L=L, class_indices=indices)
 
 
-def _argmin_decision(scores, rule):
-    scores = np.asarray(scores)
-    best = scores.min()
+def _pick_class(scores, best):
+    """The decision for the first class whose score equals ``best``, the
+    minimum or the maximum of ``scores``; a second such class is a tie."""
     winners = np.flatnonzero(scores == best)
     return ClassDecision(
         predicted_class=int(winners[0]) + 1,
         scores=scores,
-        rule=rule,
         tie=winners.size > 1,
     )
 
 
-def _split_alpha(X_blocks, y, alpha):
+def _class_residuals(X_blocks, y, alpha):
+    """Per class i, the residual norm ||y - X_i alpha_i||_2 and the
+    coefficient block alpha_i, where alpha is split over the blocks in
+    order."""
     y = as_vec(y, "y")
     alpha = as_vec(alpha, "alpha")
-    widths = [np.asarray(B).shape[1] for B in X_blocks]
-    if sum(widths) != alpha.shape[0]:
-        raise DimensionError(
-            f"alpha has length {alpha.shape[0]} but blocks hold {sum(widths)} atoms"
-        )
-    for B in X_blocks:
-        if np.asarray(B).shape[0] != y.shape[0]:
-            raise DimensionError("block row count does not match y")
-    offsets = np.cumsum([0] + widths)
-    return y, alpha, offsets
+    X_blocks = [np.asarray(B) for B in X_blocks]
+    n = sum(B.shape[1] for B in X_blocks)
+    if n != alpha.shape[0]:
+        raise DimensionError(f"alpha has length {alpha.shape[0]} but blocks hold {n} atoms")
+    if any(B.shape[0] != y.shape[0] for B in X_blocks):
+        raise DimensionError("block row count does not match y")
+    residuals = np.empty(len(X_blocks))
+    parts = []
+    start = 0
+    for i, B in enumerate(X_blocks):
+        a_i = alpha[start:start + B.shape[1]]
+        start += B.shape[1]
+        residuals[i] = np.linalg.norm(y - B @ a_i)
+        parts.append(a_i)
+    return residuals, parts
 
 
 def classify_residual(X_blocks, y, alpha):
@@ -121,12 +120,8 @@ def classify_residual(X_blocks, y, alpha):
 
     scores[i] = ||y - X_i alpha_i||_2, winner = argmin.
     """
-    y, alpha, offsets = _split_alpha(X_blocks, y, alpha)
-    scores = np.empty(len(X_blocks))
-    for i, B in enumerate(X_blocks):
-        a_i = alpha[offsets[i]:offsets[i + 1]]
-        scores[i] = np.linalg.norm(y - np.asarray(B) @ a_i)
-    return _argmin_decision(scores, RULE_RESIDUAL)
+    scores = _class_residuals(X_blocks, y, alpha)[0]
+    return _pick_class(scores, scores.min())
 
 
 def classify_regularized_residual(X_blocks, y, alpha):
@@ -135,18 +130,15 @@ def classify_regularized_residual(X_blocks, y, alpha):
     A class with a zero coefficient block scores +inf and cannot win; if
     every class does, the decision is degenerate.
     """
-    y, alpha, offsets = _split_alpha(X_blocks, y, alpha)
-    scores = np.empty(len(X_blocks))
-    for i, B in enumerate(X_blocks):
-        a_i = alpha[offsets[i]:offsets[i + 1]]
+    residuals, parts = _class_residuals(X_blocks, y, alpha)
+    scores = np.full(len(parts), np.inf)
+    for i, a_i in enumerate(parts):
         denom = np.linalg.norm(a_i)
-        if denom == 0.0:
-            scores[i] = np.inf
-        else:
-            scores[i] = np.linalg.norm(y - np.asarray(B) @ a_i) / denom
+        if denom != 0.0:
+            scores[i] = residuals[i] / denom
     if not np.isfinite(scores).any():
         raise DegenerateDecisionError("every class has a zero coefficient block")
-    return _argmin_decision(scores, RULE_REGULARIZED_RESIDUAL)
+    return _pick_class(scores, scores.min())
 
 
 def fuse_coefficients(alpha_sparse, alpha_dense):

@@ -32,6 +32,14 @@ DEFAULT_SPARSITY = 50
 DEPENDENT_ATOM_TOL = 1e-10
 
 
+def _project(M, y):
+    """``M @ y`` for a solve operator ``M = (...)^-1 X^T`` of shape n x m."""
+    y = as_vec(y, "y")
+    if y.shape[0] != M.shape[1]:
+        raise DimensionError(f"y has length {y.shape[0]}, X has {M.shape[1]} rows")
+    return M @ y
+
+
 @dataclass(frozen=True)
 class CrcProjector:
     """Precomputed ridge solve operator P = (X^T X + lam I)^-1 X^T.
@@ -45,7 +53,7 @@ class CrcProjector:
         object.__setattr__(self, "P", _frozen_array(self.P))
 
     def code(self, y):
-        return self.P @ as_vec(y, "y")
+        return _project(self.P, y)
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class ProCrcProjector:
         object.__setattr__(self, "T", _frozen_array(self.T))
 
     def code(self, y):
-        return self.T @ as_vec(y, "y")
+        return _project(self.T, y)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import csv
 import os
 import secrets
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class Dataset:
     X: np.ndarray
     labels: np.ndarray
     C: int
-    name: str = ""
     label_mapping: tuple | None = None
 
     def __post_init__(self):
@@ -76,13 +75,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/test column indices, exactly ``per_class_train`` train
-    samples per class, grouped by class."""
+    """Disjoint train/test column indices; the train indices are grouped by
+    class."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
-    per_class_train: int
 
     def __post_init__(self):
         train = np.asarray(self.train_indices, dtype=np.int64)
@@ -206,7 +203,6 @@ def load_csv(path):
         X=X,
         labels=np.array(dense, dtype=np.int64),
         C=len(mapping),
-        name=os.path.basename(os.fspath(path)),
         label_mapping=tuple(mapping),
     )
 
@@ -277,12 +273,7 @@ def load_bin(path):
             f"label {labels[bad]} outside 1..{C} at offset {20 + 4 * bad}",
             offset=20 + 4 * bad,
         )
-    return Dataset(
-        X=X,
-        labels=labels,
-        C=int(C),
-        name=os.path.basename(os.fspath(path)),
-    )
+    return Dataset(X=X, labels=labels, C=int(C))
 
 
 def save_bin(dataset, path):
@@ -301,14 +292,7 @@ def normalize_columns(dataset):
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"column {int(zero[0])} is zero and cannot be normalized")
-    X = np.asfortranarray(dataset.X / norms[None, :])
-    return Dataset(
-        X=X,
-        labels=dataset.labels,
-        C=dataset.C,
-        name=dataset.name,
-        label_mapping=dataset.label_mapping,
-    )
+    return replace(dataset, X=np.asfortranarray(dataset.X / norms[None, :]))
 
 
 def random_project(dataset, target_dim, seed):
@@ -322,13 +306,7 @@ def random_project(dataset, target_dim, seed):
         raise ParameterError(f"target_dim must be >= 1, got {target_dim}")
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((target_dim, dataset.m)) / np.sqrt(target_dim)
-    return Dataset(
-        X=np.asfortranarray(R @ dataset.X),
-        labels=dataset.labels,
-        C=dataset.C,
-        name=dataset.name,
-        label_mapping=dataset.label_mapping,
-    )
+    return replace(dataset, X=np.asfortranarray(R @ dataset.X))
 
 
 def split(dataset, per_class_train, seed):
@@ -352,8 +330,6 @@ def split(dataset, per_class_train, seed):
     return Split(
         train_indices=np.concatenate(train_parts),
         test_indices=np.concatenate(test_parts),
-        seed=int(seed),
-        per_class_train=int(per_class_train),
     )
 
 
@@ -382,20 +358,12 @@ def synth(spec):
         blocks.append(block)
         labels.extend([c] * spec.per_class)
     X = np.asfortranarray(np.hstack(blocks))
-    name = (
-        f"synth-C{spec.C}-d{spec.ambient_dim}-s{spec.subspace_dim}"
-        f"-n{spec.per_class}-sigma{spec.noise_sigma:g}-seed{spec.seed}"
-    )
-    return Dataset(X=X, labels=np.array(labels, dtype=np.int64), C=spec.C, name=name)
+    return Dataset(X=X, labels=np.array(labels, dtype=np.int64), C=spec.C)
 
 
 def take_columns(dataset, indices):
     """Sub-dataset of the given columns, in the given order."""
     indices = np.asarray(indices, dtype=np.int64)
-    return Dataset(
-        X=np.asfortranarray(dataset.X[:, indices]),
-        labels=dataset.labels[indices],
-        C=dataset.C,
-        name=dataset.name,
-        label_mapping=dataset.label_mapping,
+    return replace(
+        dataset, X=np.asfortranarray(dataset.X[:, indices]), labels=dataset.labels[indices]
     )

@@ -17,8 +17,9 @@ SOLVE_RTOL = 1e-8
 
 
 def _frozen_array(a):
-    """``a`` as an array marked read-only, for the fields of frozen records."""
-    a = np.asarray(a)
+    """A read-only view of ``a``, for the fields of frozen records; the
+    caller's array stays writeable."""
+    a = np.asarray(a).view()
     a.setflags(write=False)
     return a
 
@@ -53,13 +54,12 @@ def as_vec(a, name="vector"):
 def gram(X):
     """Gram matrix G with G[p, q] = column_p . column_q.
 
-    One triangle is computed and mirrored, so the result is exactly
-    symmetric (bitwise equal across the diagonal).
+    numpy computes ``X.T @ X`` of one buffer with a symmetric rank-k update
+    (BLAS syrk) and copies one triangle into the other, so the result is
+    exactly symmetric (bitwise equal across the diagonal).
     """
     X = as_mat(X, "X")
-    G = X.T @ X
-    G = np.triu(G) + np.triu(G, 1).T
-    return np.asfortranarray(G)
+    return np.asfortranarray(X.T @ X)
 
 
 def spd_solve(A, B):
@@ -67,18 +67,15 @@ def spd_solve(A, B):
 
     Uses a Cholesky factorization (never an explicit inverse) and verifies
     the residual ||A S - B||_F <= SOLVE_RTOL * ||B||_F, applying one step of
-    iterative refinement if the first solve falls short.
-
-    ``B`` may be a vector or a matrix; the result has the same ndim.
+    iterative refinement if the first solve falls short. ``B`` is a matrix.
     """
     A = as_mat(A, "A")
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
-    b_was_vec = np.ndim(B) == 1
-    Bm = as_mat(B[:, None] if b_was_vec else B, "B")
-    if Bm.shape[0] != A.shape[0]:
+    B = as_mat(B, "B")
+    if B.shape[0] != A.shape[0]:
         raise DimensionError(
-            f"A has {A.shape[0]} rows but B has {Bm.shape[0]}"
+            f"A has {A.shape[0]} rows but B has {B.shape[0]}"
         )
 
     c, info = lapack.dpotrf(A, lower=1)
@@ -90,23 +87,23 @@ def spd_solve(A, B):
     if info < 0:
         raise SingularMatrixError(f"dpotrf: illegal argument {-info}")
 
-    S, info = lapack.dpotrs(c, Bm, lower=1)
+    S, info = lapack.dpotrs(c, B, lower=1)
     if info != 0:
         raise SingularMatrixError(f"dpotrs failed with info={info}")
 
-    norm_b = np.linalg.norm(Bm)
-    resid = Bm - A @ S
+    norm_b = np.linalg.norm(B)
+    resid = B - A @ S
     if np.linalg.norm(resid) > SOLVE_RTOL * norm_b:
         dS, info = lapack.dpotrs(c, resid, lower=1)
         if info == 0:
             S = S + dS
-            resid = Bm - A @ S
+            resid = B - A @ S
         if np.linalg.norm(resid) > SOLVE_RTOL * norm_b:
             raise NumericalError(
                 "SPD solve residual exceeds tolerance after refinement "
                 f"({np.linalg.norm(resid):.3e} > {SOLVE_RTOL:.0e} * {norm_b:.3e})"
             )
-    return S[:, 0] if b_was_vec else np.asfortranarray(S)
+    return np.asfortranarray(S)
 
 
 class Dictionary:
@@ -117,7 +114,7 @@ class Dictionary:
 
     def __init__(self, X):
         X = as_mat(X, "X")
-        self.X = _frozen_array(X.view())
+        self.X = _frozen_array(X)
         self.G = _frozen_array(gram(X))
 
     @functools.cached_property

@@ -28,7 +28,7 @@ from rcls import bench
 from rcls.classify import classify_residual, fuse_coefficients, score
 from rcls.coders import omp
 from rcls.data import Dataset, SynthSpec, normalize_columns, save_bin, save_csv, synth
-from rcls.errors import ConfigError, DatasetError, ParameterError
+from rcls.errors import ConfigError, DatasetError, DimensionError, ParameterError
 
 CLEAN = SynthSpec(C=3, ambient_dim=12, subspace_dim=2, per_class=8, seed=0)
 NOISY = SynthSpec(
@@ -251,6 +251,15 @@ def test_zero_test_sample_raises_parameter_error(method):
         state.compute_code(np.zeros(train.m))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_wrong_length_test_sample_raises_dimension_error(method):
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    for m in (train.m - 1, train.m + 1):
+        with pytest.raises(DimensionError, match=f"y has length {m}, X has {train.m} rows"):
+            state.compute_code(np.ones(m))
+
+
 # ---------------------------------------------------------------- experiments
 
 
@@ -398,6 +407,21 @@ def test_error_reduction_formula():
         expected = 100.0 * (err_base - (100.0 - row.mean)) / err_base
         assert abs(row.err_reduction_pct - expected) <= 1e-12
     assert table.rows[0].err_reduction_pct == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::rcls.errors.ConvergenceWarning")
+@pytest.mark.parametrize("C", [1, 2])
+def test_every_method_runs_end_to_end_with_one_or_two_classes(C):
+    spec = SynthSpec(C=C, ambient_dim=12, subspace_dim=2, per_class=8,
+                     noise_sigma=0.3, seed=2)
+    cfgs = [
+        ExperimentConfig(dataset=spec, method=m, per_class_train=4, trials=2, k=4)
+        for m in METHODS
+    ]
+    table = compare_methods(cfgs)
+    assert table.reports == tuple(run_experiment(cfg) for cfg in cfgs)
+    if C == 1:
+        assert all(rep.accuracies == (100.0, 100.0) for rep in table.reports)
 
 
 def test_error_reduction_nan_when_baseline_perfect():

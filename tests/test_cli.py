@@ -144,6 +144,40 @@ def test_compare_runs_and_writes_csv(tmp_path, capsys):
     assert captured.err.count("# timing") == 2
 
 
+def test_classify_wrong_length_test_sample_exits_two(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    train.write_text("1,1,0,0,0,0,0,0,0\n2,0,1,0,0,0,0,0,0\n")
+    test.write_text("1,1,0,0,0,0,0,0,0,0\n")
+    for method in ("src", "crc", "procrc", "sa_crc", "sa_procrc"):
+        rc = cli.main(
+            ["classify", "--train", str(train), "--test", str(test),
+             "--method", method, "--k", "1"]
+        )
+        assert rc == 2, method
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: DimensionError: y has length 9, X has 8 rows\n"
+
+
+@pytest.mark.filterwarnings("ignore::rcls.errors.ConvergenceWarning")
+@pytest.mark.parametrize("C", [1, 2])
+def test_compare_every_method_with_one_or_two_classes(tmp_path, capsys, C):
+    cfg_path = tmp_path / "cmp.yaml"
+    cfg_path.write_text(
+        CONFIG.replace("classes: 3", f"classes: {C}")
+        .replace("method: crc", "methods: [src, crc, procrc, sa_crc, sa_procrc]")
+        + "k: 4\n"
+    )
+    assert cli.main(["compare", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    table = bench.compare_methods(bench.load_compare_configs(str(cfg_path)))
+    assert out == bench.comparison_text(table)
+    assert [r.method for r in table.rows] == list(bench.METHODS)
+    if C == 1:
+        assert all(r.mean == 100.0 for r in table.rows)
+
+
 def test_diag_writes_files(tmp_path, capsys):
     data = make_data(tmp_path)
     capsys.readouterr()

@@ -61,6 +61,16 @@ def test_dataset_arrays_are_frozen():
         ds.labels[0] = 2
 
 
+def test_dataset_keeps_the_callers_arrays_writeable():
+    # a float64 column-major X and int64 labels are taken without a copy
+    X = np.asfortranarray(np.eye(2))
+    labels = np.array([1, 2], dtype=np.int64)
+    ds = Dataset(X=X, labels=labels, C=2)
+    assert np.shares_memory(ds.X, X) and np.shares_memory(ds.labels, labels)
+    assert X.flags.writeable and labels.flags.writeable
+    assert not ds.X.flags.writeable and not ds.labels.flags.writeable
+
+
 def test_take_columns_reorders():
     ds = Dataset(X=np.diag([1.0, 2.0, 3.0]), labels=[1, 2, 1], C=2)
     sub = take_columns(ds, [2, 1, 0])
@@ -282,7 +292,6 @@ def test_normalize_columns_keeps_metadata(tmp_path):
     ds = load_csv(p)
     out = normalize_columns(ds)
     assert out.label_mapping == (4, 2)
-    assert out.name == ds.name
     assert np.array_equal(out.labels, ds.labels)
 
 

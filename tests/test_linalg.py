@@ -51,11 +51,13 @@ def test_gram_matches_naive_oracle():
 
 
 def test_gram_bitwise_symmetric():
+    # gram relies on numpy's symmetric product for X.T @ X; shapes cover
+    # m = 1, n = 1, m > n and m < n
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        X = rng.standard_normal((rng.integers(2, 30), rng.integers(2, 30)))
-        G = gram(X)
-        assert (G == G.T).all()
+    for m in (1, 2, 7, 50, 504):
+        for n in (1, 3, 16, 200, 1216):
+            G = gram(rng.standard_normal((m, n)))
+            assert np.array_equal(G, G.T), (m, n)
 
 
 def test_spd_solve_identity_system():
@@ -90,36 +92,28 @@ def test_spd_solve_self_gives_identity_up_to_200():
         assert np.abs(S - np.eye(n)).max() <= 1e-8
 
 
-def test_spd_solve_vector_rhs():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((6, 6))
-    A = M.T @ M + np.eye(6)
-    b = rng.standard_normal(6)
-    s = spd_solve(A, b)
-    assert s.ndim == 1
-    assert np.linalg.norm(A @ s - b) <= 1e-8 * np.linalg.norm(b)
-
-
 def test_spd_solve_names_failing_pivot():
     A = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(SingularMatrixError) as exc:
         spd_solve(A, np.eye(3))
     assert exc.value.pivot == 2
     with pytest.raises(SingularMatrixError) as exc:
-        spd_solve(np.zeros((2, 2)), np.ones(2))
+        spd_solve(np.zeros((2, 2)), np.ones((2, 1)))
     assert exc.value.pivot == 0
 
 
 def test_spd_solve_is_a_numerical_error():
     with pytest.raises(NumericalError):
-        spd_solve(np.zeros((2, 2)), np.ones(2))
+        spd_solve(np.zeros((2, 2)), np.ones((2, 1)))
 
 
 def test_spd_solve_shape_errors():
     with pytest.raises(DimensionError):
-        spd_solve(np.ones((2, 3)), np.ones(2))
+        spd_solve(np.ones((2, 3)), np.ones((2, 1)))
     with pytest.raises(DimensionError):
         spd_solve(np.eye(3), np.ones((2, 2)))
+    with pytest.raises(DimensionError, match="B must be 2-D"):
+        spd_solve(np.eye(3), np.ones(3))
 
 
 def test_dictionary_checks_once_and_keeps_the_callers_array_writeable():
