@@ -10,7 +10,6 @@ Wall-clock stage times are collected for information; they are excluded from
 report equality so that repeated runs of the same config compare equal.
 """
 
-import functools
 import logging
 import os
 import time
@@ -20,12 +19,13 @@ import numpy as np
 import yaml
 
 from .classify import (
-    _class_residuals,
+    _decide_one,
     _pick_class,
+    _winners,
     build_label_matrix,
-    classify_regularized_residual,
-    classify_residual,
     fuse_coefficients,
+    regularized_residual_scores,
+    residual_scores,
     score,
     split_blocks,
 )
@@ -52,10 +52,11 @@ from .errors import (
     ConfigError,
     DatasetError,
     DegenerateFusionError,
+    DimensionError,
     ParameterError,
     RclsError,
 )
-from .linalg import Dictionary, as_vec
+from .linalg import Dictionary, as_samples
 
 log = logging.getLogger(__name__)
 
@@ -167,17 +168,23 @@ def aggregate_accuracy(accuracies):
     return mean, std
 
 
-def _nonzero_sample(y):
-    y = as_vec(y, "y")
-    if not y.any():
-        raise ParameterError("test sample must be nonzero")
-    return y
+def _column(y):
+    """One test sample as a one-column batch."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise DimensionError(f"y must be 1-D, got ndim={y.ndim}")
+    return y[:, None]
 
 
 class _FittedResidual:
     """A coder and a class-wise residual rule over the training blocks:
     l1 code with the plain rule (src), ridge projector with the regularized
-    rule (crc), class-consistent projector with the plain rule (procrc)."""
+    rule (crc), class-consistent projector with the plain rule (procrc).
+
+    ``coder`` maps test samples (columns) to codes (columns), ``rule`` to
+    C x N scores whose column minimum wins. ``compute_code`` and ``decide``
+    are the one-column case.
+    """
 
     def __init__(self, method, coder, rule, blocks):
         self.method = method
@@ -185,11 +192,23 @@ class _FittedResidual:
         self.rule = rule
         self.blocks = blocks
 
+    def compute_codes(self, Y):
+        """Codes (n x N) of the test samples in the columns of Y, which are
+        checked here, once for the batch."""
+        return self.coder(as_samples(Y, self.blocks[0].shape[0]))
+
+    def decide_all(self, codes, Y):
+        """Predicted classes (1-based) and exact-tie flags of the samples
+        that ``compute_codes`` checked."""
+        scores = self.rule(self.blocks, Y, codes)
+        winner, tie = _winners(scores, scores.min(axis=0))
+        return winner + 1, tie
+
     def compute_code(self, y):
-        return self.coder(_nonzero_sample(y))
+        return self.compute_codes(_column(y))[:, 0]
 
     def decide(self, code, y):
-        return self.rule(self.blocks, y, code)
+        return _decide_one(self.rule, self.blocks, y, code)
 
 
 class FittedSa:
@@ -198,7 +217,9 @@ class FittedSa:
     compute_code/decide are split so code computation and decision can be
     timed separately. When the two codes cancel exactly, the normalized
     dense code is scored alone and the fallback is logged. ``D`` is the
-    train Dictionary, shared by every sample's pursuit.
+    train Dictionary, shared by every sample's pursuit. A batch's dense
+    codes are one product; the pursuit, fusion and ``decide`` run per
+    sample. ``compute_code`` is the one-column case of ``compute_codes``.
     """
 
     def __init__(self, method, projector, D, L, k, blocks):
@@ -209,10 +230,13 @@ class FittedSa:
         self.k = k
         self.blocks = blocks
 
-    def compute_code(self, y):
-        y = _nonzero_sample(y)
-        dense = self.projector.code(y)
-        sp = omp(self.D, y, self.k)
+    def compute_codes(self, Y):
+        """One SaCodes per test sample (column of Y, checked here)."""
+        Y = as_samples(Y, self.D.X.shape[0])
+        dense = self.projector.code(Y)
+        return [self._fuse(omp(self.D, y, self.k), d) for y, d in zip(Y.T, dense.T)]
+
+    def _fuse(self, sp, dense):
         try:
             return SaCodes(sparse=sp, dense=dense, fused=fuse_coefficients(sp.coeffs, dense))
         except DegenerateFusionError:
@@ -222,6 +246,18 @@ class FittedSa:
             "falling back to dense-only scoring"
         )
         return SaCodes(sparse=sp, dense=dense, fused=fused, dense_only=True)
+
+    def decide_all(self, codes, Y):
+        """Predicted classes (1-based) and exact-tie flags, one ``decide``
+        per sample."""
+        decisions = [self.decide(code, y) for code, y in zip(codes, Y.T)]
+        return (
+            np.array([d.predicted_class for d in decisions]),
+            np.array([d.tie for d in decisions]),
+        )
+
+    def compute_code(self, y):
+        return self.compute_codes(_column(y))[0]
 
     def decide(self, code, y):
         q = score(self.L, code.fused)
@@ -259,18 +295,20 @@ def fit_method(
     D = Dictionary(train.X)
     if method == "src":
         D.lipschitz  # the l1 step bound is part of the fit, not of a sample
-        coder = functools.partial(l1_solve, D, epsilon=epsilon)
-        return _FittedResidual(method, coder, classify_residual, blocks)
+        def coder(Y):
+            return np.column_stack([l1_solve(D, y, epsilon=epsilon) for y in Y.T])
+
+        return _FittedResidual(method, coder, residual_scores, blocks)
     if method in ("crc", "sa_crc"):
         projector = fit_crc(D, lam)
     else:
         projector = fit_procrc(D, sizes, lam, gamma)
     if method == "crc":
         return _FittedResidual(
-            method, projector.code, classify_regularized_residual, blocks
+            method, projector.code, regularized_residual_scores, blocks
         )
     if method == "procrc":
-        return _FittedResidual(method, projector.code, classify_residual, blocks)
+        return _FittedResidual(method, projector.code, residual_scores, blocks)
     L = build_label_matrix(train.labels, train.C)
     return FittedSa(method, projector, D, L, k, blocks)
 
@@ -344,14 +382,12 @@ def _run_trial(ds, cfg, seed, stage):
     stage["fit"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    codes = [state.compute_code(test.X[:, j]) for j in range(test.n)]
+    codes = state.compute_codes(test.X)
     stage["code"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    correct = 0
-    for j, code in enumerate(codes):
-        decision = state.decide(code, test.X[:, j])
-        correct += int(decision.predicted_class == test.labels[j])
+    predicted = state.decide_all(codes, test.X)[0]
+    correct = int(np.count_nonzero(predicted == test.labels))
     stage["classify"] += time.perf_counter() - t0
 
     return 100.0 * correct / test.n
@@ -519,7 +555,7 @@ def dump_diagnostics(state, y, out_dir):
     C = len(sizes)
     atom_classes = np.repeat(np.arange(1, C + 1), sizes)
     n = int(sum(sizes))
-    residuals = _class_residuals(state.blocks, y, resid_code)[0]
+    residuals = residual_scores(state.blocks, _column(y), resid_code[:, None])[:, 0]
 
     files = {
         "coefficients.csv": _diag_csv(range(n), atom_classes, coeff),

@@ -16,7 +16,7 @@ from .errors import (
     DegenerateFusionError,
     DimensionError,
 )
-from .linalg import _frozen_array, as_vec
+from .linalg import _frozen_array, as_labels, as_vec
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class ClassDecision:
 
 def build_label_matrix(labels, C):
     """Build the one-hot label matrix for dense 1..C labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise DatasetError("labels must be a nonempty 1-D sequence")
     if labels.min() < 1 or labels.max() > C:
@@ -81,38 +81,66 @@ def build_label_matrix(labels, C):
     return LabelMatrix(L=L, class_indices=indices)
 
 
+def _winners(scores, best):
+    """Per column of ``scores`` (classes are rows): the 0-based index of the
+    first class whose score equals ``best``, the column's minimum or
+    maximum, and whether a second class does too (an exact tie, broken to
+    the lowest class). A 1-D ``scores`` is one column."""
+    hits = scores == best
+    return hits.argmax(axis=0), hits.sum(axis=0) > 1
+
+
 def _pick_class(scores, best):
-    """The decision for the first class whose score equals ``best``, the
-    minimum or the maximum of ``scores``; a second such class is a tie."""
-    winners = np.flatnonzero(scores == best)
-    return ClassDecision(
-        predicted_class=int(winners[0]) + 1,
-        scores=scores,
-        tie=winners.size > 1,
-    )
+    """The decision for one sample's score vector."""
+    winner, tie = _winners(scores, best)
+    return ClassDecision(predicted_class=int(winner) + 1, scores=scores, tie=bool(tie))
 
 
-def _class_residuals(X_blocks, y, alpha):
-    """Per class i, the residual norm ||y - X_i alpha_i||_2 and the
-    coefficient block alpha_i, where alpha is split over the blocks in
-    order."""
-    y = as_vec(y, "y")
-    alpha = as_vec(alpha, "alpha")
+def residual_scores(X_blocks, Y, A):
+    """Plain residual rule for the samples in the columns of Y with codes in
+    the columns of A, split over the blocks in order: scores[i, j] =
+    ||Y_j - X_i A_ij||_2, one block GEMM per class. Column j's winner is
+    its argmin."""
     X_blocks = [np.asarray(B) for B in X_blocks]
     n = sum(B.shape[1] for B in X_blocks)
-    if n != alpha.shape[0]:
-        raise DimensionError(f"alpha has length {alpha.shape[0]} but blocks hold {n} atoms")
-    if any(B.shape[0] != y.shape[0] for B in X_blocks):
+    if A.shape != (n, Y.shape[1]):
+        raise DimensionError(
+            f"codes have shape {A.shape} but blocks hold {n} atoms for {Y.shape[1]} samples"
+        )
+    if any(B.shape[0] != Y.shape[0] for B in X_blocks):
         raise DimensionError("block row count does not match y")
-    residuals = np.empty(len(X_blocks))
-    parts = []
+    scores = np.empty((len(X_blocks), Y.shape[1]))
     start = 0
     for i, B in enumerate(X_blocks):
-        a_i = alpha[start:start + B.shape[1]]
+        scores[i] = np.linalg.norm(Y - B @ A[start:start + B.shape[1]], axis=0)
         start += B.shape[1]
-        residuals[i] = np.linalg.norm(y - B @ a_i)
-        parts.append(a_i)
-    return residuals, parts
+    return scores
+
+
+def regularized_residual_scores(X_blocks, Y, A):
+    """Residual rule with each class residual divided by its coefficient
+    norm ||A_ij||_2.
+
+    A class with a zero coefficient block scores +inf and cannot win; a
+    column where every class does is a degenerate decision.
+    """
+    residuals = residual_scores(X_blocks, Y, A)
+    ends = np.cumsum([np.shape(B)[1] for B in X_blocks])[:-1]
+    norms = np.array([np.linalg.norm(A_i, axis=0) for A_i in np.split(A, ends)])
+    scores = np.full(residuals.shape, np.inf)
+    np.divide(residuals, norms, out=scores, where=norms != 0.0)
+    dead = np.flatnonzero(~np.isfinite(scores).any(axis=0))
+    if dead.size:
+        raise DegenerateDecisionError(
+            f"every class has a zero coefficient block (column {dead[0]})"
+        )
+    return scores
+
+
+def _decide_one(rule, X_blocks, y, alpha):
+    """The decision of a batch residual rule for one sample y with code alpha."""
+    scores = rule(X_blocks, as_vec(y, "y")[:, None], as_vec(alpha, "alpha")[:, None])[:, 0]
+    return _pick_class(scores, scores.min())
 
 
 def classify_residual(X_blocks, y, alpha):
@@ -120,8 +148,7 @@ def classify_residual(X_blocks, y, alpha):
 
     scores[i] = ||y - X_i alpha_i||_2, winner = argmin.
     """
-    scores = _class_residuals(X_blocks, y, alpha)[0]
-    return _pick_class(scores, scores.min())
+    return _decide_one(residual_scores, X_blocks, y, alpha)
 
 
 def classify_regularized_residual(X_blocks, y, alpha):
@@ -130,15 +157,7 @@ def classify_regularized_residual(X_blocks, y, alpha):
     A class with a zero coefficient block scores +inf and cannot win; if
     every class does, the decision is degenerate.
     """
-    residuals, parts = _class_residuals(X_blocks, y, alpha)
-    scores = np.full(len(parts), np.inf)
-    for i, a_i in enumerate(parts):
-        denom = np.linalg.norm(a_i)
-        if denom != 0.0:
-            scores[i] = residuals[i] / denom
-    if not np.isfinite(scores).any():
-        raise DegenerateDecisionError("every class has a zero coefficient block")
-    return _pick_class(scores, scores.min())
+    return _decide_one(regularized_residual_scores, X_blocks, y, alpha)
 
 
 def fuse_coefficients(alpha_sparse, alpha_dense):

@@ -149,13 +149,12 @@ def _cmd_classify(args):
         args.method, train,
         lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
     )
+    predicted = state.decide_all(state.compute_codes(test.X), test.X)[0]
     correct = 0
-    for j in range(test.n):
-        y = test.X[:, j]
-        decision = state.decide(state.compute_code(y), y)
-        predicted = _original_label(train, decision.predicted_class)
-        print(predicted)
-        correct += predicted == _original_label(test, int(test.labels[j]))
+    for j, dense_label in enumerate(predicted):
+        label = _original_label(train, int(dense_label))
+        print(label)
+        correct += label == _original_label(test, int(test.labels[j]))
     print(f"accuracy: {100.0 * correct / test.n:.2f}")
     return 0
 

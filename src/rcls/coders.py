@@ -32,19 +32,20 @@ DEFAULT_SPARSITY = 50
 DEPENDENT_ATOM_TOL = 1e-10
 
 
-def _project(M, y):
-    """``M @ y`` for a solve operator ``M = (...)^-1 X^T`` of shape n x m."""
-    y = as_vec(y, "y")
-    if y.shape[0] != M.shape[1]:
-        raise DimensionError(f"y has length {y.shape[0]}, X has {M.shape[1]} rows")
-    return M @ y
+def _project(M, Y):
+    """``M @ Y`` for a solve operator ``M = (...)^-1 X^T`` of shape n x m
+    and a sample or a matrix of samples (columns): one GEMM per batch."""
+    Y = np.asarray(Y)
+    if Y.shape[0] != M.shape[1]:
+        raise DimensionError(f"y has length {Y.shape[0]}, X has {M.shape[1]} rows")
+    return M @ Y
 
 
 @dataclass(frozen=True)
 class CrcProjector:
     """Precomputed ridge solve operator P = (X^T X + lam I)^-1 X^T.
 
-    Coding a test sample is a single product: ``code(y) = P @ y``.
+    Coding test samples is a single product: ``code(Y) = P @ Y``.
     """
 
     P: np.ndarray
@@ -128,6 +129,12 @@ def build_gram_sum(G, class_sizes):
         raise DimensionError(
             f"class sizes sum to {sum(sizes)} but G is {n}x{n}"
         )
+    return _gram_sum(G, sizes)
+
+
+def _gram_sum(G, sizes):
+    """``build_gram_sum`` for a checked G and class sizes that sum to its
+    order."""
     C = len(sizes)
     S = (C - 2.0) * G
     start = 0
@@ -158,7 +165,7 @@ def fit_procrc(X, class_sizes, lam, gamma):
     if sum(sizes) != n:
         raise DimensionError(f"class sizes sum to {sum(sizes)} but X has {n} columns")
     C = len(sizes)
-    A = D.G + (gamma / C) * build_gram_sum(D.G, sizes)
+    A = D.G + (gamma / C) * _gram_sum(D.G, sizes)
     A[np.diag_indices(n)] += lam
     return ProCrcProjector(T=spd_solve(A, D.X.T))
 

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .linalg import _frozen_array, as_mat
+from .linalg import _frozen_array, as_labels, as_mat
 
 BIN_MAGIC = b"RCLS"
 BIN_VERSION = 1
@@ -44,7 +44,7 @@ class Dataset:
 
     def __post_init__(self):
         X = as_mat(self.X, "X")
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = as_labels(self.labels)
         if labels.ndim != 1 or labels.size != X.shape[1]:
             raise DatasetError(
                 f"need one label per sample: {labels.size} labels, "

@@ -10,7 +10,14 @@ import functools
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DataError, DimensionError, SingularMatrixError, NumericalError
+from .errors import (
+    DataError,
+    DatasetError,
+    DimensionError,
+    NumericalError,
+    ParameterError,
+    SingularMatrixError,
+)
 
 # Relative Frobenius residual an SPD solve must achieve.
 SOLVE_RTOL = 1e-8
@@ -49,6 +56,37 @@ def as_vec(a, name="vector"):
     if not np.isfinite(v).all():
         raise DataError(f"{name} contains non-finite entries")
     return v
+
+
+def as_samples(Y, m):
+    """Test samples, the columns of ``Y``, checked once for the batch: a
+    float64 column-major m x N matrix, finite and with no zero column. The
+    error for a bad sample names its column."""
+    Y = np.asfortranarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[1] == 0:
+        raise DimensionError(f"test samples must be a nonempty matrix, got shape {Y.shape}")
+    if Y.shape[0] != m:
+        raise DimensionError(f"y has length {Y.shape[0]}, X has {m} rows")
+    bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
+    if bad.size:
+        raise DataError(f"y contains non-finite entries (column {bad[0]})")
+    zero = np.flatnonzero(~Y.any(axis=0))
+    if zero.size:
+        raise ParameterError(f"test sample must be nonzero (column {zero[0]})")
+    return Y
+
+
+def as_labels(labels):
+    """``labels`` as an int64 array; a value that is not an integer raises
+    DatasetError instead of being truncated."""
+    a = np.asarray(labels)
+    if a.dtype.kind not in "biu":
+        f = a.astype(np.float64)
+        bad = ~((np.abs(f) < 2.0**62) & (f == np.trunc(f)))
+        if bad.any():
+            raise DatasetError(f"label {a[bad].flat[0]} is not an integer")
+        a = f
+    return a.astype(np.int64, copy=False)
 
 
 def gram(X):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcls.bench import (
     ComparisonTable,
@@ -25,10 +27,21 @@ from rcls.bench import (
     stage_summary,
 )
 from rcls import bench
-from rcls.classify import classify_residual, fuse_coefficients, score
+from rcls.classify import (
+    classify_residual,
+    fuse_coefficients,
+    regularized_residual_scores,
+    score,
+)
 from rcls.coders import omp
 from rcls.data import Dataset, SynthSpec, normalize_columns, save_bin, save_csv, synth
-from rcls.errors import ConfigError, DatasetError, DimensionError, ParameterError
+from rcls.errors import (
+    ConfigError,
+    DataError,
+    DatasetError,
+    DimensionError,
+    ParameterError,
+)
 
 CLEAN = SynthSpec(C=3, ambient_dim=12, subspace_dim=2, per_class=8, seed=0)
 NOISY = SynthSpec(
@@ -258,6 +271,115 @@ def test_wrong_length_test_sample_raises_dimension_error(method):
     for m in (train.m - 1, train.m + 1):
         with pytest.raises(DimensionError, match=f"y has length {m}, X has {train.m} rows"):
             state.compute_code(np.ones(m))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad, error", [
+    (0.0, ParameterError), (np.nan, DataError), (np.inf, DataError),
+])
+def test_one_bad_column_fails_the_batch_like_the_sample_alone(method, bad, error):
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    Y = np.random.default_rng(5).standard_normal((train.m, 6))
+    Y[:, 4] = 0.0
+    Y[2, 4] = bad
+    with pytest.raises(error):
+        state.compute_code(Y[:, 4])
+    with pytest.raises(error, match=r"\(column 4\)"):
+        state.compute_codes(Y)
+    for m in (train.m - 1, train.m + 1):
+        with pytest.raises(DimensionError, match=f"y has length {m}, X has {train.m} rows"):
+            state.compute_codes(np.ones((m, 3)))
+
+
+@st.composite
+def tied_batches(draw):
+    """A dictionary whose classes 1 and 2 are the single atoms e_0 and e_1,
+    followed by generic classes on the other coordinates, and a batch of
+    generic test samples mixed with samples c (e_0 + e_1). Those tie
+    classes 1 and 2 exactly in every residual rule, and their generic code
+    blocks are exactly zero (crc scores them +inf)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = draw(st.integers(1, 3))
+    per_class = draw(st.integers(1, 3))
+    m_generic = draw(st.integers(2, max(2, classes * per_class)))
+    m = 2 + m_generic
+    generic = np.zeros((m, classes * per_class))
+    generic[2:] = rng.standard_normal((m_generic, classes * per_class))
+    X = np.hstack([np.eye(m)[:, :2], generic / np.linalg.norm(generic, axis=0)])
+    labels = np.concatenate([[1, 2], np.repeat(np.arange(3, 3 + classes), per_class)])
+    n_generic, n_tied = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    Y = np.zeros((m, n_generic + n_tied))
+    Y[:, :n_generic] = rng.standard_normal((m, n_generic))
+    Y[:2, n_generic:] = rng.uniform(0.5, 2.0, n_tied)
+    order = rng.permutation(Y.shape[1])
+    return Dataset(X=X, labels=labels, C=2 + classes), Y[:, order], order >= n_generic
+
+
+def oracle_decisions(state, Y, codes):
+    """Winners and exact ties of the method's rule, one column and one
+    class at a time."""
+    predicted, tie = [], []
+    for j, y in enumerate(Y.T):
+        if isinstance(state, bench.FittedSa):
+            fused = codes[j].fused
+            scores = [-math.fsum(fused[ix]) for ix in state.L.class_indices]
+        else:
+            scores, start = [], 0
+            for B in state.blocks:
+                a = codes[start:start + B.shape[1], j]
+                start += B.shape[1]
+                r = math.sqrt(math.fsum(v * v for v in y - B @ a))
+                if state.method == "crc":
+                    nrm = math.sqrt(math.fsum(v * v for v in a))
+                    r = r / nrm if nrm else math.inf
+                scores.append(r)
+        winners = [i for i, v in enumerate(scores) if v == min(scores)]
+        predicted.append(winners[0] + 1)
+        tie.append(len(winners) > 1)
+    return np.array(predicted), np.array(tie)
+
+
+def code_matrix(codes):
+    if isinstance(codes, list):
+        return np.column_stack([np.concatenate([c.dense, c.sparse.coeffs, c.fused])
+                                for c in codes])
+    return codes
+
+
+@pytest.mark.filterwarnings("ignore::rcls.errors.ConvergenceWarning")
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=tied_batches())
+def test_batch_decisions_do_not_depend_on_batch_size_or_order(method, case):
+    train, Y, tied = case
+    state = fit_method(method, train, k=2)
+    codes = state.compute_codes(Y)
+    predicted, tie = state.decide_all(codes, Y)
+    oracle_predicted, oracle_tie = oracle_decisions(state, Y, codes)
+    assert np.array_equal(predicted, oracle_predicted)
+    assert np.array_equal(tie, oracle_tie)
+    assert (predicted[tied] == 1).all() and tie[tied].all()
+    A = code_matrix(codes)
+    tol = 1e-12 * np.abs(A).max()
+
+    for j, y in enumerate(Y.T):
+        one = state.compute_codes(Y[:, [j]])
+        assert np.abs(code_matrix(one)[:, 0] - A[:, j]).max() <= tol
+        p, t = state.decide_all(one, Y[:, [j]])
+        d = state.decide(state.compute_code(y), y)
+        assert p[0] == d.predicted_class == predicted[j]
+        assert t[0] == d.tie == tie[j]
+
+    perm = np.random.default_rng(Y.shape[1]).permutation(Y.shape[1])
+    shuffled = state.compute_codes(Y[:, perm])
+    p, t = state.decide_all(shuffled, Y[:, perm])
+    back = np.argsort(perm)
+    assert np.abs(code_matrix(shuffled)[:, back] - A).max() <= tol
+    assert np.array_equal(p[back], predicted) and np.array_equal(t[back], tie)
+    if method == "crc":
+        scores = regularized_residual_scores(state.blocks, Y, codes)
+        assert np.isinf(scores[2:, tied]).all()
 
 
 # ---------------------------------------------------------------- experiments

@@ -67,6 +67,9 @@ def test_build_label_matrix_errors():
         build_label_matrix([0, 1], 2)
     with pytest.raises(DatasetError):
         build_label_matrix([1, 1, 3], 3)  # class 2 empty
+    with pytest.raises(DatasetError, match="label 1.9 is not an integer"):
+        build_label_matrix([1.9, 2.5], 2)
+    assert np.array_equal(build_label_matrix([1.0, 2.0], 2).L, np.eye(2))
 
 
 def test_classify_residual_exact_reconstruction():
@@ -311,8 +314,8 @@ class _NegatingProjector:
         self.X = X
         self.k = k
 
-    def code(self, y):
-        return -omp(self.X, y, self.k).coeffs
+    def code(self, Y):
+        return np.column_stack([-omp(self.X, y, self.k).coeffs for y in Y.T])
 
 
 def test_classify_sa_degenerate_fusion_zero_dense_code_raises(caplog):

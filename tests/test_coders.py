@@ -451,6 +451,26 @@ def test_coders_over_a_dictionary_are_bitwise_equal_and_leave_it_intact():
         fit_procrc(D, [4, 4], 0.01, 0.5)
 
 
+def test_fit_procrc_checks_the_gram_matrix_once(monkeypatch):
+    from rcls import coders, linalg
+
+    rng = np.random.default_rng(20)
+    X = unit_columns(rng, 12, 9)
+    D = Dictionary(X)
+    checked, solves = [], []
+    as_mat, spd_solve = coders.as_mat, coders.spd_solve
+    monkeypatch.setattr(coders, "as_mat", lambda a, name: checked.append(name) or as_mat(a, name))
+    monkeypatch.setattr(coders, "spd_solve", lambda A, B: solves.append(A) or spd_solve(A, B))
+    proj = fit_procrc(D, [4, 5], 0.01, 0.5)
+    assert checked == [] and len(solves) == 1
+    monkeypatch.undo()
+    # the public, checked build_gram_sum gives the same system bitwise
+    A = D.G + (0.5 / 2) * build_gram_sum(D.G, [4, 5])
+    A[np.diag_indices(9)] += 0.01
+    assert np.array_equal(solves[0], A)
+    assert np.array_equal(proj.T, linalg.spd_solve(A, D.X.T))
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -48,6 +48,10 @@ def test_dataset_validation():
         Dataset(X=X, labels=[1, -1, 2], C=2)
     with pytest.raises(DatasetError):
         Dataset(X=X, labels=[1, 1, 3], C=3)
+    for labels in ([1.7, 2.2, 1.0], [1.0, 2.0, np.nan], [1.0, 2.0, np.inf]):
+        with pytest.raises(DatasetError, match="is not an integer"):
+            Dataset(X=X, labels=labels, C=2)
+    assert Dataset(X=X, labels=[1.0, 1.0, 2.0], C=2).labels.tolist() == [1, 1, 2]
     ds = Dataset(X=X, labels=[1, 1, 2], C=2)
     assert ds.m == 3 and ds.n == 3
     assert ds.class_sizes == (2, 1)
