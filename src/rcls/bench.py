@@ -30,12 +30,14 @@ from .classify import (
     split_blocks,
 )
 from .coders import (
+    DEFAULT_RESIDUAL_TOL,
     DEFAULT_SPARSITY,
+    _omp_columns,
     check_param,
+    check_sparsity,
     fit_crc,
     fit_procrc,
     l1_solve,
-    omp,
 )
 from .data import (
     SynthSpec,
@@ -53,7 +55,6 @@ from .errors import (
     DatasetError,
     DegenerateFusionError,
     DimensionError,
-    ParameterError,
     RclsError,
 )
 from .linalg import Dictionary, as_samples
@@ -217,9 +218,10 @@ class FittedSa:
     compute_code/decide are split so code computation and decision can be
     timed separately. When the two codes cancel exactly, the normalized
     dense code is scored alone and the fallback is logged. ``D`` is the
-    train Dictionary, shared by every sample's pursuit. A batch's dense
-    codes are one product; the pursuit, fusion and ``decide`` run per
-    sample. ``compute_code`` is the one-column case of ``compute_codes``.
+    train Dictionary. A batch's dense codes are one product and its sparse
+    codes one lockstep pursuit (``_omp_columns``); fusion and ``decide``
+    run per sample. ``compute_code`` is the one-column case of
+    ``compute_codes``.
     """
 
     def __init__(self, method, projector, D, L, k, blocks):
@@ -234,7 +236,8 @@ class FittedSa:
         """One SaCodes per test sample (column of Y, checked here)."""
         Y = as_samples(Y, self.D.X.shape[0])
         dense = self.projector.code(Y)
-        return [self._fuse(omp(self.D, y, self.k), d) for y, d in zip(Y.T, dense.T)]
+        sparse = _omp_columns(self.D, Y, self.k, DEFAULT_RESIDUAL_TOL)
+        return [self._fuse(sp, d) for sp, d in zip(sparse, dense.T)]
 
     def _fuse(self, sp, dense):
         try:
@@ -285,11 +288,8 @@ def fit_method(
     labels = np.asarray(train.labels)
     if (np.diff(labels) < 0).any():
         raise DatasetError("training columns must be grouped by class")
-    if method.startswith("sa_") and not 1 <= k <= min(train.m, train.n):
-        raise ParameterError(
-            f"k must be in [1, {min(train.m, train.n)}] for {train.m}-dimensional "
-            f"samples and {train.n} training atoms, got {k}"
-        )
+    if method.startswith("sa_"):
+        check_sparsity(k, train.m, train.n)
     sizes = train.class_sizes
     blocks = split_blocks(train.X, sizes)
     D = Dictionary(train.X)

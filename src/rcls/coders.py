@@ -7,11 +7,11 @@ baseline.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     ConvergenceWarning,
@@ -30,6 +30,9 @@ DEFAULT_SPARSITY = 50
 # squared norm, at or below which OMP treats a chosen atom as dependent
 # (sin of its angle to the span at most 1e-5).
 DEPENDENT_ATOM_TOL = 1e-10
+# Bytes of per-column pursuit state that ``_omp_columns`` holds at a time;
+# wider batches are pursued in chunks of columns.
+OMP_CHUNK_BYTES = 8 << 20
 
 
 def _project(M, Y):
@@ -180,8 +183,20 @@ def _check_unit_norms(G):
         )
 
 
+def check_sparsity(k, m, n):
+    """Raise ParameterError unless ``k`` is an integer (not a bool) in
+    [1, min(m, n)] for m-dimensional samples over n atoms."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ParameterError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= min(m, n):
+        raise ParameterError(
+            f"k must be in [1, {min(m, n)}] for {m}-dimensional samples and "
+            f"{n} atoms, got {k}"
+        )
+
+
 def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL):
-    """Greedy orthogonal matching pursuit.
+    """Greedy orthogonal matching pursuit of one sample.
 
     Per iteration: pick the atom with the largest |correlation| against the
     current residual (ties to the lowest index), re-solve least squares on
@@ -193,63 +208,124 @@ def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL):
     pivot) is at most ``DEPENDENT_ATOM_TOL`` times its squared norm. So an
     atom and an exact copy of it are never both selected.
 
-    The correlations are kept through the Gram matrix (Batch-OMP):
-    ``X^T r = X^T y - G[:, S] x_S``, and the least-squares solve extends a
-    Cholesky factor of ``G[S, S]`` by one row per atom. ``X`` is a matrix
-    or, to build G once for many samples, a Dictionary. The residual and
-    its norm are computed explicitly from the coefficients.
+    This is the one-column case of ``_omp_columns``, which codes many
+    samples at once. ``X`` is a matrix or, to build G = X^T X once for many
+    samples, a Dictionary.
     """
     D = as_dictionary(X)
-    X, G = D.X, D.G
     y = as_vec(y, "y")
+    if y.shape[0] != D.X.shape[0]:
+        raise DimensionError(f"y has length {y.shape[0]}, X has {D.X.shape[0]} rows")
+    return _omp_columns(D, y[:, None], k, residual_tol)[0]
+
+
+def _omp_columns(D, Y, k, residual_tol):
+    """``omp`` of every column of Y (m x N, already checked) over the
+    Dictionary D: one SparseCode per column.
+
+    The columns are pursued in lockstep, in chunks whose state fits
+    ``OMP_CHUNK_BYTES``; a column's support does not depend on the other
+    columns. ``k``, ``residual_tol`` and the unit norms are checked once.
+    """
+    X, G = D.X, D.G
     m, n = X.shape
-    if y.shape[0] != m:
-        raise DimensionError(f"y has length {y.shape[0]}, X has {m} rows")
     _check_unit_norms(G)
-    if not 1 <= k <= min(m, n):
-        raise ParameterError(f"k must be in [1, {min(m, n)}], got {k}")
+    check_sparsity(k, m, n)
+    check_param("residual_tol", residual_tol, zero_ok=True)
+    # per column: the G[S, :] and X[:, S]^T panels, the inverse factor and
+    # the n- and m-vectors of a step
+    width = max(1, OMP_CHUNK_BYTES // (8 * (k * (n + m + k) + 3 * n + 2 * m)))
+    codes = []
+    for start in range(0, Y.shape[1], width):
+        codes += _pursue(X, G, Y[:, start:start + width], k, residual_tol)
+    return codes
 
-    b = X.T @ y
-    G_S = np.empty((n, k), order="F")  # G[:, support]
-    X_S = np.empty((m, k), order="F")  # X[:, support]
-    chol = np.zeros((k, k), order="F")  # lower Cholesky factor of G[S, S]
-    z = np.empty(k)  # chol^-1 b[S], extended by one entry per atom
-    support = []
-    sol = np.zeros(0)
-    corr = b
-    residual = y
+
+def _pursue(X, G, Y, k, residual_tol):
+    """Lockstep OMP of the columns of Y (Batch-OMP, Rubinstein, Zibulevsky
+    and Elad 2008). Row r of each state array belongs to the live column
+    ``cols[r]``; a column that stops is recorded and its rows dropped.
+
+    The correlations are kept through the Gram matrix,
+    ``X^T r = X^T y - G[:, S] x_S``, and the least-squares solve holds the
+    inverse ``Linv`` of the lower Cholesky factor of ``G[S, S]``, extended
+    by one row per atom, so every step is a few stacked products over the
+    live columns: O(i^2) for the factor and the coefficients and
+    O((n + m) i) for the correlations and the residual at support size i.
+    The residual and its norm are computed explicitly from the
+    coefficients.
+    """
+    m, n = X.shape
+    N = Y.shape[1]
+    Yr = np.ascontiguousarray(Y.T)  # N x m, one sample per row
+    B = Yr @ X  # X^T y per row
+    GS = np.empty((N, k, n))  # row t: G[S[t], :]
+    XS = np.empty((N, k, m))  # row t: X[:, S[t]]
+    Linv = np.zeros((N, k, k))
+    z = np.empty((N, k))  # Linv b[S]
+    S = np.empty((N, k), dtype=np.intp)
+    sol = np.zeros((N, 0))
+    corr, R = B, Yr
+    cols = np.arange(N)
+
+    coeffs = np.zeros((N, n))
+    supports = np.empty((N, k), dtype=np.intp)
+    sizes = np.empty(N, dtype=np.intp)
+    norms = np.empty(N)
+
+    def record(rows, i, rnorm):
+        c = cols[rows]
+        coeffs[c[:, None], S[rows, :i]] = sol[rows]
+        supports[c, :i] = S[rows, :i]
+        sizes[c] = i
+        norms[c] = rnorm[rows]
+
     for i in range(k):
-        if np.linalg.norm(residual) <= residual_tol:
-            break
+        w = len(cols)
+        live = np.arange(w)
+        rnorm = np.sqrt(np.einsum("rm,rm->r", R, R))
         a = np.abs(corr)
-        a[support] = -1.0
-        j = int(np.argmax(a))
-        if a[j] <= 0.0:
-            break
-        # new row of the factor: chol w = G[S, j] (row j of G_S, as G is
-        # symmetric), pivot G[j, j] - w.w
-        w = lapack.dtrtrs(chol[:i, :i], G_S[j, :i], lower=1)[0] if i else np.zeros(0)
-        pivot = G[j, j] - w @ w
-        if pivot <= DEPENDENT_ATOM_TOL * G[j, j]:
-            break
-        chol[i, :i] = w
-        chol[i, i] = np.sqrt(pivot)
-        z[i] = (b[j] - w @ z[:i]) / chol[i, i]
-        sol = lapack.dtrtrs(chol[: i + 1, : i + 1], z[: i + 1], lower=1, trans=1)[0]
-        support.append(j)
-        G_S[:, i] = G[:, j]
-        X_S[:, i] = X[:, j]
-        corr = b - G_S[:, : i + 1] @ sol
-        residual = y - X_S[:, : i + 1] @ sol
+        a[live[:, None], S[:w, :i]] = -1.0
+        J = a.argmax(axis=1)
+        # new row of the factor: chol v = G[S, j], pivot G[j, j] - v.v
+        v = np.matmul(Linv[:w, :i, :i], G[J[:, None], S[:w, :i]][:, :, None])[:, :, 0]
+        gjj = G[J, J]
+        pivot = gjj - np.einsum("ri,ri->r", v, v)
+        stop = (rnorm <= residual_tol) | (a[live, J] <= 0.0) | (pivot <= DEPENDENT_ATOM_TOL * gjj)
+        if stop.any():
+            record(np.flatnonzero(stop), i, rnorm)
+            keep = np.flatnonzero(~stop)
+            w = keep.size
+            if not w:
+                break
+            cols, J, v, pivot, sol, B, Yr = (
+                x[keep] for x in (cols, J, v, pivot, sol, B, Yr)
+            )
+            # move the kept rows up in place, one at a time, so that no
+            # copy of the panels is made
+            for dst, src in enumerate(keep):
+                if dst != src:
+                    for x in (GS, XS, Linv, z, S):
+                        x[dst, :i] = x[src, :i]
+            live = live[:w]
+        d = np.sqrt(pivot)
+        Linv[:w, i, :i] = -np.matmul(v[:, None, :], Linv[:w, :i, :i])[:, 0, :] / d[:, None]
+        Linv[:w, i, i] = 1.0 / d
+        z[:w, i] = (B[live, J] - np.einsum("ri,ri->r", v, z[:w, :i])) / d
+        sol = np.matmul(z[:w, None, : i + 1], Linv[:w, : i + 1, : i + 1])[:, 0, :]
+        S[:w, i] = J
+        GS[:w, i] = G.T[J]
+        XS[:w, i] = X.T[J]
+        corr = B - np.matmul(sol[:, None, :], GS[:w, : i + 1])[:, 0, :]
+        R = Yr - np.matmul(sol[:, None, :], XS[:w, : i + 1])[:, 0, :]
+    else:
+        record(np.arange(len(cols)), k, np.sqrt(np.einsum("rm,rm->r", R, R)))
 
-    coeffs = np.zeros(n)
-    if support:
-        coeffs[support] = sol
-    return SparseCode(
-        coeffs=coeffs,
-        support=tuple(support),
-        final_residual_norm=float(np.linalg.norm(residual)),
-    )
+    return [
+        SparseCode(coeffs=coeffs[c], support=supports[c, : sizes[c]],
+                   final_residual_norm=float(norms[c]))
+        for c in range(N)
+    ]
 
 
 def _soft_threshold(x, t):

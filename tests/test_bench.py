@@ -197,7 +197,7 @@ def test_sa_fit_builds_one_gram_and_codes_like_one_shot_omp(method, monkeypatch)
 
 def test_sa_k_above_dictionary_size_fails_at_fit_time(monkeypatch):
     coded = []
-    monkeypatch.setattr(bench, "omp", lambda *args, **kwargs: coded.append(args))
+    monkeypatch.setattr(bench, "_omp_columns", lambda *args, **kwargs: coded.append(args))
     # 10-dimensional samples, 2 classes x 10 training atoms: k <= 10
     spec = SynthSpec(C=2, ambient_dim=10, subspace_dim=2, per_class=15,
                      noise_sigma=0.1, seed=0)
@@ -214,6 +214,11 @@ def test_sa_k_above_dictionary_size_fails_at_fit_time(monkeypatch):
     fit_method("sa_crc", train, k=10)
     for method in ("src", "crc", "procrc"):
         fit_method(method, train, k=11)  # k is not used by these
+    for k in (2.5, True, 2.0, "2"):
+        for method in ("sa_crc", "sa_procrc"):
+            with pytest.raises(ParameterError, match=f"k must be an integer, got {k!r}"):
+                fit_method(method, train, k=k)
+    fit_method("sa_procrc", train, k=np.int64(3))
 
 
 def test_sa_coding_never_rechecks_the_dictionary(monkeypatch):

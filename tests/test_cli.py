@@ -204,20 +204,20 @@ def test_diag_codes_the_sample_once(tmp_path, capsys, monkeypatch):
     data = make_data(tmp_path)
     capsys.readouterr()
     calls = []
-    real_omp = bench.omp
+    pursue = bench._omp_columns
 
-    def counting_omp(*args, **kwargs):
-        calls.append(args)
-        return real_omp(*args, **kwargs)
+    def counting_pursuit(D, Y, k, residual_tol):
+        calls.append(Y.shape[1])
+        return pursue(D, Y, k, residual_tol)
 
-    monkeypatch.setattr(bench, "omp", counting_omp)
+    monkeypatch.setattr(bench, "_omp_columns", counting_pursuit)
     out_dir = tmp_path / "diag"
     rc = cli.main(
         ["diag", "--train", str(data), "--sample-index", "4",
          "--method", "sa_procrc", "--k", "2", "--out-dir", str(out_dir)]
     )
     assert rc == 0
-    assert len(calls) == 1
+    assert calls == [1]  # one pursuit, of one column
     # the printed prediction is the argmax of the scores written to disk
     rows = (out_dir / "scores.csv").read_text().splitlines()[1:]
     best = max(rows, key=lambda r: float(r.split(",")[2])).split(",")[1]

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcls import coders
 from rcls.coders import (
     DEPENDENT_ATOM_TOL,
+    _omp_columns,
     build_gram_sum,
     fit_crc,
     fit_procrc,
@@ -313,6 +315,16 @@ def test_omp_input_validation():
         omp(Xu, np.ones(6), 5)
     with pytest.raises(DimensionError):
         omp(Xu, np.ones(5), 2)
+    # a tolerance that would switch the residual stop off or end every
+    # pursuit at once, and a k that is not a count, fail at the boundary
+    for coder in (omp, lambda D, y, k, tol: _omp_columns(D, y[:, None], k, tol)):
+        for tol in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ParameterError, match="residual_tol must be finite"):
+                coder(Dictionary(Xu), np.ones(6), 2, tol)
+        for k in (2.5, True, 2.0):
+            with pytest.raises(ParameterError, match="k must be an integer"):
+                coder(Dictionary(Xu), np.ones(6), k, 1e-6)
+    assert omp(Xu, np.ones(6), np.int64(2), 0.0).support == omp(Xu, np.ones(6), 2, 0.0).support
     D = Dictionary(Xu)
     with pytest.raises(DimensionError):
         omp(D, np.ones(5), 2)
@@ -327,9 +339,17 @@ def test_omp_input_validation():
             coder(Dictionary(Xt), np.ones(6), 2)
 
 
+# A residual this small counts as no correlation left in the oracle; the
+# batches below make every such correlation exactly zero in the kernel.
+NUMERICAL_ZERO = 1e-12
+RESIDUAL_TOL = 1e-9
+
+
 def lstsq_omp(X, y, k, residual_tol):
     """Oracle: the textbook pursuit, one full correlation product and one
-    least-squares solve on X[:, support] per iteration."""
+    least-squares solve on X[:, support] per iteration. A chosen atom whose
+    squared distance from span(X[:, support]), by least squares, is at most
+    DEPENDENT_ATOM_TOL of its squared norm ends the pursuit."""
     support = []
     sol = np.zeros(0)
     residual = y.copy()
@@ -339,8 +359,13 @@ def lstsq_omp(X, y, k, residual_tol):
         corr = np.abs(X.T @ residual)
         corr[support] = -1.0
         j = int(np.argmax(corr))
-        if corr[j] <= 0.0:
+        if corr[j] <= NUMERICAL_ZERO:
             break
+        if support:
+            x = X[:, j]
+            off = x - X[:, support] @ np.linalg.lstsq(X[:, support], x, rcond=None)[0]
+            if off @ off <= DEPENDENT_ATOM_TOL * (x @ x):
+                break
         support.append(j)
         sol, _, _, _ = np.linalg.lstsq(X[:, support], y, rcond=None)
         residual = y - X[:, support] @ sol
@@ -350,51 +375,136 @@ def lstsq_omp(X, y, k, residual_tol):
 
 
 @st.composite
-def tied_pursuits(draw):
-    """A unit dictionary and a sample whose first pursuit steps are exact
-    ties, plus k.
+def pursuit_batches(draw):
+    """A unit dictionary, a batch of samples whose pursuits tie exactly and
+    stop for every reason at different steps, and k.
 
-    The tie rows T carry signed canonical atoms e_t and signed copies of
-    them; the sample is +-c on every row of T. Every correlation of a
-    canonical atom is then computed exactly by both algorithms while the
-    support holds only canonical atoms, so the ties are exact. The generic
-    atoms have norm 0.2 on T and c > 2 ||y off T||, so no generic atom
-    reaches c and the |T| tied atoms come first; after them the copies are
-    dependent and the generic atoms decide, with no ties left."""
+    The rows are the tie rows T, the generic rows, two rows p, q and a dead
+    row that no atom touches. The tie rows carry signed canonical atoms
+    e_t and signed copies of them; the generic atoms have norm 0.2 on T and
+    the rest on the generic rows; the pair u = e_p, v = cos(t) e_p +
+    sin(t) e_q has sin(t)^2 = DEPENDENT_ATOM_TOL / 100. Each column is one
+    of five kinds:
+
+    - "tie": +-c on every tie row, random on the generic rows, with c > 2
+      ||y off T||. The |T| tied atoms come first, computed exactly by both
+      algorithms (a single nonzero product each); then the copies are
+      dependent and the generic atoms decide, with no ties left, to k.
+    - "residual": +-c on T only. After the |T| tied atoms the residual is
+      exactly zero, so the residual_tol stop ends the pursuit.
+    - "zero": c on one tie row plus a dead-row part, or the dead-row part
+      alone. Every correlation left after the tie atom (or from the start)
+      is one product minus the same product, exactly zero.
+    - "dependent": s (e_p + e_q). v comes first; u then has correlation
+      about s 1e-6 but is numerically in span{v}.
+    - "sparse": a combination of two generic atoms, which stops when its
+      residual reaches rounding level, or at k, with a factor of generic
+      atoms: the column a pursuit drops while others run on.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
-    m = draw(st.integers(4, 12))
-    n_tied = draw(st.integers(1, min(3, m - 2)))
+    m_core = draw(st.integers(4, 12))
+    n_tied = draw(st.integers(1, min(3, m_core - 2)))
     n_copies = draw(st.integers(0, 3))
-    n_generic = draw(st.integers(m, m + 8))
-    k = draw(st.integers(1, m - 2))
+    n_generic = draw(st.integers(m_core, m_core + 8))
+    k = draw(st.integers(1, m_core - 2))
+    kinds = draw(st.lists(st.sampled_from(["tie", "residual", "zero", "dependent", "sparse"]),
+                          min_size=1, max_size=8))
     rng = np.random.default_rng(seed)
-    rows = rng.choice(m, size=n_tied, replace=False)
-    rest = np.setdiff1d(np.arange(m), rows)
+    m = m_core + 3
+    p, q, dead = m_core, m_core + 1, m_core + 2
+    rows = rng.choice(m_core, size=n_tied, replace=False)
+    rest = np.setdiff1d(np.arange(m_core), rows)
     generic = np.zeros((m, n_generic))
     generic[rows] = 0.2 * unit_columns(rng, n_tied, n_generic)
-    generic[rest] = np.sqrt(1.0 - 0.2**2) * unit_columns(rng, m - n_tied, n_generic)
+    generic[rest] = np.sqrt(1.0 - 0.2**2) * unit_columns(rng, m_core - n_tied, n_generic)
     canon_rows = np.concatenate([rows, rng.choice(rows, size=n_copies)])
     canon = np.zeros((m, canon_rows.size))
     canon[canon_rows, np.arange(canon_rows.size)] = rng.choice([-1.0, 1.0], canon_rows.size)
-    X = np.hstack([generic, canon])[:, rng.permutation(n_generic + canon_rows.size)]
-    y = rng.standard_normal(m)
-    y[rows] = (2.0 * np.linalg.norm(y[rest]) + 1.0) * rng.choice([-1.0, 1.0], n_tied)
-    return np.asfortranarray(X), y, k
+    sin2 = DEPENDENT_ATOM_TOL / 100
+    pair = np.zeros((m, 2))
+    pair[p, 0] = 1.0
+    pair[[p, q], 1] = np.sqrt(1.0 - sin2), np.sqrt(sin2)
+    atoms = np.hstack([generic, canon, pair])
+    X = atoms[:, rng.permutation(atoms.shape[1])]
+
+    Y = np.zeros((m, len(kinds)))
+    for col, kind in enumerate(kinds):
+        y = Y[:, col]
+        if kind == "tie":
+            y[rest] = rng.standard_normal(rest.size)
+            y[rows] = (2.0 * np.linalg.norm(y[rest]) + 1.0) * rng.choice([-1.0, 1.0], n_tied)
+        elif kind == "residual":
+            y[rows] = rng.uniform(0.5, 4.0) * rng.choice([-1.0, 1.0], n_tied)
+        elif kind == "zero":
+            y[dead] = rng.uniform(0.5, 4.0)
+            if rng.random() < 0.7:
+                y[rng.choice(rows)] = rng.uniform(0.5, 4.0)
+        elif kind == "dependent":
+            y[[p, q]] = rng.uniform(0.5, 2.0)
+        else:
+            y[:] = generic[:, rng.choice(n_generic, size=2, replace=False)] @ (
+                rng.uniform(1.0, 2.0, 2) * rng.choice([-1.0, 1.0], 2))
+    return np.asfortranarray(X), Y, k, kinds, n_tied
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(tied_pursuits())
+@given(pursuit_batches())
 def test_omp_matches_lstsq_oracle_with_exact_ties(case):
-    X, y, k = case
-    sc = omp(X, y, k, residual_tol=0.0)
-    support, coeffs = lstsq_omp(X, y, k, residual_tol=0.0)
-    assert sc.support == support
-    first = np.abs(X.T @ y)
-    assert sc.support[0] == int(np.flatnonzero(first == first.max())[0])
-    assert np.abs(sc.coeffs - coeffs).max() <= 1e-10
-    r = y - X @ sc.coeffs
-    assert np.abs(X[:, list(sc.support)].T @ r).max() <= 1e-8
-    assert sc.final_residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
+    X, Y, k, kinds, n_tied = case
+    codes = _omp_columns(Dictionary(X), Y, k, RESIDUAL_TOL)
+    assert len(codes) == len(kinds)
+    for y, kind, sc in zip(Y.T, kinds, codes):
+        support, coeffs = lstsq_omp(X, y, k, residual_tol=RESIDUAL_TOL)
+        assert sc.support == support
+        first = np.abs(X.T @ y)
+        if sc.support:
+            assert sc.support[0] == int(np.flatnonzero(first == first.max())[0])
+        assert np.abs(sc.coeffs - coeffs).max() <= 1e-10
+        r = y - X @ sc.coeffs
+        if sc.support:
+            assert np.abs(X[:, list(sc.support)].T @ r).max() <= 1e-8
+        assert sc.final_residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
+        # each kind but "sparse" stops where it was built to
+        expected = {
+            "tie": k,
+            "residual": min(k, n_tied),
+            "zero": min(k, 1 if y[:-1].any() else 0),
+            "dependent": 1,
+        }.get(kind, len(support))
+        assert len(sc.support) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pursuit_batches(), st.data())
+def test_omp_columns_do_not_depend_on_order_batch_or_chunks(case, data):
+    X, Y, k, _, _ = case
+    D = Dictionary(X)
+    N = Y.shape[1]
+    alone = [omp(D, y, k, residual_tol=RESIDUAL_TOL) for y in Y.T]
+    order = data.draw(st.permutations(range(N)))
+    batch = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
+    column_bytes = 8 * k * sum(X.shape)
+    budgets = [coders.OMP_CHUNK_BYTES, 1, data.draw(st.integers(column_bytes, 3 * column_bytes))]
+    for budget in budgets:
+        widths = []
+
+        def pursue(X_, G, Y_, k_, tol):
+            widths.append(Y_.shape[1])
+            return real_pursue(X_, G, Y_, k_, tol)
+
+        real_pursue = coders._pursue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coders, "OMP_CHUNK_BYTES", budget)
+            mp.setattr(coders, "_pursue", pursue)
+            for cols in (order, batch):
+                codes = _omp_columns(D, Y[:, cols], k, RESIDUAL_TOL)
+                assert len(codes) == len(cols)
+                for j, sc in zip(cols, codes):
+                    assert sc.support == alone[j].support
+                    assert np.abs(sc.coeffs - alone[j].coeffs).max() <= 1e-12
+        if budget == 1:
+            assert widths == [1] * (N + len(batch))
+        assert sum(widths) == N + len(batch)
 
 
 def test_omp_never_selects_an_atom_and_its_copy():
