@@ -30,14 +30,15 @@ from .classify import (
     split_blocks,
 )
 from .coders import (
+    DEFAULT_MAX_ITER,
     DEFAULT_RESIDUAL_TOL,
     DEFAULT_SPARSITY,
+    _l1_columns,
     _omp_columns,
     check_param,
     check_sparsity,
     fit_crc,
     fit_procrc,
-    l1_solve,
 )
 from .data import (
     SynthSpec,
@@ -290,13 +291,15 @@ def fit_method(
         raise DatasetError("training columns must be grouped by class")
     if method.startswith("sa_"):
         check_sparsity(k, train.m, train.n)
+    elif method == "src":
+        check_param("epsilon", epsilon)
     sizes = train.class_sizes
     blocks = split_blocks(train.X, sizes)
     D = Dictionary(train.X)
     if method == "src":
         D.lipschitz  # the l1 step bound is part of the fit, not of a sample
         def coder(Y):
-            return np.column_stack([l1_solve(D, y, epsilon=epsilon) for y in Y.T])
+            return _l1_columns(D, Y, epsilon, DEFAULT_MAX_ITER)[0]
 
         return _FittedResidual(method, coder, residual_scores, blocks)
     if method in ("crc", "sa_crc"):

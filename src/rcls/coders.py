@@ -3,7 +3,7 @@
 Dense coders with precomputed projectors (ridge-regularized collaborative
 coding and its class-consistent variant), a greedy orthogonal-matching-pursuit
 sparse coder, and an iterative-shrinkage l1 solver for the sparse-residual
-baseline.
+baseline. Both sparse coders code a batch of samples in lockstep.
 """
 
 import math
@@ -26,13 +26,15 @@ from .linalg import _frozen_array, as_dictionary, as_mat, as_vec, spd_solve
 UNIT_NORM_TOL = 1e-6
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_SPARSITY = 50
+DEFAULT_MAX_ITER = 2000
 # Squared distance from the span of the support, relative to the atom's
 # squared norm, at or below which OMP treats a chosen atom as dependent
 # (sin of its angle to the span at most 1e-5).
 DEPENDENT_ATOM_TOL = 1e-10
-# Bytes of per-column pursuit state that ``_omp_columns`` holds at a time;
-# wider batches are pursued in chunks of columns.
-OMP_CHUNK_BYTES = 8 << 20
+# Bytes of per-column solver state that ``_omp_columns`` and
+# ``_l1_columns`` hold at a time; wider batches are coded in chunks of
+# columns.
+CHUNK_BYTES = 8 << 20
 
 
 def _project(M, Y):
@@ -183,11 +185,16 @@ def _check_unit_norms(G):
         )
 
 
+def check_integer(name, value):
+    """Raise ParameterError unless ``value`` is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_sparsity(k, m, n):
     """Raise ParameterError unless ``k`` is an integer (not a bool) in
     [1, min(m, n)] for m-dimensional samples over n atoms."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ParameterError(f"k must be an integer, got {k!r}")
+    check_integer("k", k)
     if not 1 <= k <= min(m, n):
         raise ParameterError(
             f"k must be in [1, {min(m, n)}] for {m}-dimensional samples and "
@@ -224,7 +231,7 @@ def _omp_columns(D, Y, k, residual_tol):
     Dictionary D: one SparseCode per column.
 
     The columns are pursued in lockstep, in chunks whose state fits
-    ``OMP_CHUNK_BYTES``; a column's support does not depend on the other
+    ``CHUNK_BYTES``; a column's support does not depend on the other
     columns. ``k``, ``residual_tol`` and the unit norms are checked once.
     """
     X, G = D.X, D.G
@@ -234,11 +241,18 @@ def _omp_columns(D, Y, k, residual_tol):
     check_param("residual_tol", residual_tol, zero_ok=True)
     # per column: the G[S, :] and X[:, S]^T panels, the inverse factor and
     # the n- and m-vectors of a step
-    width = max(1, OMP_CHUNK_BYTES // (8 * (k * (n + m + k) + 3 * n + 2 * m)))
-    codes = []
-    for start in range(0, Y.shape[1], width):
-        codes += _pursue(X, G, Y[:, start:start + width], k, residual_tol)
-    return codes
+    return [
+        code
+        for cols in _chunks(Y.shape[1], 8 * (k * (n + m + k) + 3 * n + 2 * m))
+        for code in _pursue(X, G, Y[:, cols], k, residual_tol)
+    ]
+
+
+def _chunks(N, column_bytes):
+    """Slices of N columns, each as wide as ``CHUNK_BYTES`` of
+    ``column_bytes`` per column allows, and at least one column wide."""
+    width = max(1, CHUNK_BYTES // column_bytes)
+    return [slice(start, start + width) for start in range(0, N, width)]
 
 
 def _pursue(X, G, Y, k, residual_tol):
@@ -328,11 +342,7 @@ def _pursue(X, G, Y, k, residual_tol):
     ]
 
 
-def _soft_threshold(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
-def l1_solve(X, y, epsilon, max_iter=2000):
+def l1_solve(X, y, epsilon, max_iter=DEFAULT_MAX_ITER):
     """Approximate solver for the error-constrained l1 coding problem.
 
     Runs iterative shrinkage on the penalized form
@@ -341,50 +351,123 @@ def l1_solve(X, y, epsilon, max_iter=2000):
     iteration budget is spent. On non-convergence the best iterate seen (by
     residual norm) is returned and a ConvergenceWarning is issued.
 
-    ``X`` is a matrix or, to compute the step bound 2 * lambda_max(X^T X)
-    once for many samples, a Dictionary.
+    This is the one-column case of ``_l1_columns``, which codes many
+    samples at once. ``X`` is a matrix or, to compute the step bound
+    2 * lambda_max(X^T X) once for many samples, a Dictionary.
     """
     D = as_dictionary(X)
-    X = D.X
     y = as_vec(y, "y")
-    if y.shape[0] != X.shape[0]:
-        raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
+    if y.shape[0] != D.X.shape[0]:
+        raise DimensionError(f"y has length {y.shape[0]}, X has {D.X.shape[0]} rows")
+    return _l1_columns(D, y[:, None], epsilon, max_iter)[0][:, 0]
+
+
+def _l1_columns(D, Y, epsilon, max_iter):
+    """``l1_solve`` of every column of Y (m x N, already checked) over the
+    Dictionary D: the codes (n x N) and the iterations each column ran.
+
+    The columns are shrunk in lockstep, in chunks whose state fits
+    ``CHUNK_BYTES``; a column's code does not depend on the other columns.
+    ``epsilon``, ``max_iter`` and the unit norms are checked once, and each
+    column that misses ``epsilon`` issues one ConvergenceWarning naming it.
+    """
+    X = D.X
+    m, n = X.shape
     _check_unit_norms(D.G)
     check_param("epsilon", epsilon)
+    check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-
-    n = X.shape[1]
     step = 1.0 / D.lipschitz
+    N = Y.shape[1]
+    codes = np.empty((n, N))
+    iterations = np.empty(N, dtype=np.intp)
+    # per column: the iterate, the best one, the gradient and a scratch
+    # n-vector, the sample and its residual
+    for cols in _chunks(N, 8 * (4 * n + 2 * m)):
+        codes[:, cols], iterations[cols], missed = _shrink(X, Y[:, cols], epsilon, max_iter, step)
+        for j, res in missed:
+            warnings.warn(
+                f"l1_solve: column {cols.start + j}: residual {res:.4g} did not reach "
+                f"epsilon={epsilon:.4g} within {max_iter} iterations",
+                ConvergenceWarning,
+                stacklevel=3,
+            )
+    return codes, iterations
 
-    alpha = np.zeros(n)
-    best = alpha
-    best_res = float(np.linalg.norm(y))
-    tau_max = 2.0 * float(np.max(np.abs(X.T @ y)))
-    tau = 0.5 * tau_max
 
-    iters_left = max_iter
-    inner_cap = 100
-    while iters_left > 0:
-        for _ in range(min(inner_cap, iters_left)):
-            iters_left -= 1
-            grad = 2.0 * (X.T @ (X @ alpha - y))
-            new = _soft_threshold(alpha - step * grad, step * tau)
-            delta = float(np.max(np.abs(new - alpha)))
-            alpha = new
-            if delta <= 1e-10 * (1.0 + float(np.max(np.abs(alpha)))):
-                break
-        res = float(np.linalg.norm(y - X @ alpha))
-        if res < best_res:
-            best, best_res = alpha, res
-        if res <= epsilon:
-            return alpha
-        tau *= 0.5
+def _shrink(X, Y, epsilon, max_iter, step):
+    """Lockstep iterative shrinkage of the columns of Y: the codes
+    (n x N), the iterations each column ran, and ``(column, best
+    residual)`` of each column that missed ``epsilon``.
 
-    warnings.warn(
-        f"l1_solve: residual {best_res:.4g} did not reach epsilon={epsilon:.4g} "
-        f"within {max_iter} iterations",
-        ConvergenceWarning,
-        stacklevel=2,
-    )
-    return best
+    Per column: tau starts at max |X^T y| and halves after every stage; a
+    stage ends after 100 steps, when no coefficient moved by more than
+    1e-10 (1 + max |a|), or when ``max_iter`` steps are spent. At a stage
+    end the residual is taken: at or below ``epsilon`` the column is done,
+    and when the budget is spent it returns the iterate with the smallest
+    residual seen. Row ``r`` of each state array belongs to the live column
+    ``cols[r]``; a column that is done is recorded and its rows dropped, so
+    none steps past its own stop.
+
+    The products are one matrix-vector product per live column, not a
+    GEMM, so a column's arithmetic is the same whatever the batch: a column
+    that cannot reach ``epsilon`` picks its best iterate among residuals
+    that differ by rounding alone, and a GEMM rounds differently per batch.
+    """
+    XT = X.T
+    cols = np.arange(Y.shape[1])
+    Yr = np.ascontiguousarray(Y.T)[:, :, None]  # one sample per m x 1 matrix
+    A = np.zeros((len(cols), X.shape[1]))
+    best = A.copy()
+    best_res = _norms(Yr)
+    tau = np.abs(np.matmul(XT, Yr)).max(axis=1)[:, 0]
+    inner = np.zeros(len(cols), dtype=np.intp)
+    codes = np.empty_like(A)
+    iterations = np.empty(len(cols), dtype=np.intp)
+    grad_step = 2.0 * step
+    for it in range(1, max_iter + 1):
+        R = np.matmul(X, A[:, :, None])
+        R -= Yr
+        new = np.matmul(XT, R)[:, :, 0]
+        new *= grad_step
+        np.subtract(A, new, out=new)
+        t = (step * tau)[:, None]
+        scratch = np.maximum(new, -t)
+        np.minimum(scratch, t, out=scratch)
+        new -= scratch  # the soft threshold of new at t: new - clip(new, -t, t)
+        np.subtract(new, A, out=scratch)
+        delta = np.abs(scratch, out=scratch).max(axis=1)
+        A = new
+        inner += 1
+        amax = np.abs(A, out=scratch).max(axis=1)
+        end = (delta <= 1e-10 * (1.0 + amax)) | (inner == 100) | (it == max_iter)
+        if not end.any():
+            continue
+        e = np.flatnonzero(end)
+        res = _norms(Yr[e] - np.matmul(X, A[e, :, None]))
+        better = res < best_res[e]
+        best[e[better]] = A[e[better]]
+        best_res[e[better]] = res[better]
+        done = e[res <= epsilon]
+        codes[cols[done]] = A[done]
+        iterations[cols[done]] = it
+        tau[e] *= 0.5
+        inner[e] = 0
+        if done.size:
+            keep = np.ones(len(cols), dtype=bool)
+            keep[done] = False
+            if not keep.any():
+                return codes.T, iterations, []
+            cols, A, best, best_res, tau, inner, Yr = (
+                x[keep] for x in (cols, A, best, best_res, tau, inner, Yr)
+            )
+    codes[cols] = best
+    iterations[cols] = max_iter
+    return codes.T, iterations, list(zip(cols.tolist(), best_res.tolist()))
+
+
+def _norms(R):
+    """Euclidean norms of a stack of m x 1 matrices, each as one dot
+    product."""
+    return np.sqrt(np.matmul(R.transpose(0, 2, 1), R)[:, 0, 0])

@@ -261,6 +261,18 @@ def test_only_src_fit_computes_the_lipschitz_bound(method, monkeypatch):
     assert calls == ([(train.n, train.n)] if method == "src" else [])
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan"), float("inf")])
+def test_src_epsilon_fails_at_fit_time(epsilon, monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape))
+    train = grouped_train(NOISY, per_class_train=5)
+    with pytest.raises(ParameterError, match="epsilon must be finite and > 0"):
+        fit_method("src", train, epsilon=epsilon)
+    assert calls == []
+    for method in ("crc", "procrc", "sa_crc", "sa_procrc"):
+        fit_method(method, train, k=4, epsilon=epsilon)  # epsilon is not used by these
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_zero_test_sample_raises_parameter_error(method):
     train = grouped_train(NOISY, per_class_train=5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rcls import coders
 from rcls.coders import (
     DEPENDENT_ATOM_TOL,
+    _l1_columns,
     _omp_columns,
     build_gram_sum,
     fit_crc,
@@ -484,7 +485,7 @@ def test_omp_columns_do_not_depend_on_order_batch_or_chunks(case, data):
     order = data.draw(st.permutations(range(N)))
     batch = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
     column_bytes = 8 * k * sum(X.shape)
-    budgets = [coders.OMP_CHUNK_BYTES, 1, data.draw(st.integers(column_bytes, 3 * column_bytes))]
+    budgets = [coders.CHUNK_BYTES, 1, data.draw(st.integers(column_bytes, 3 * column_bytes))]
     for budget in budgets:
         widths = []
 
@@ -494,7 +495,7 @@ def test_omp_columns_do_not_depend_on_order_batch_or_chunks(case, data):
 
         real_pursue = coders._pursue
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coders, "OMP_CHUNK_BYTES", budget)
+            mp.setattr(coders, "CHUNK_BYTES", budget)
             mp.setattr(coders, "_pursue", pursue)
             for cols in (order, batch):
                 codes = _omp_columns(D, Y[:, cols], k, RESIDUAL_TOL)
@@ -610,6 +611,15 @@ def test_l1_solve_exact_atom_concentrates():
     assert alpha[0] >= 0.99 * np.abs(alpha).sum()
 
 
+def test_l1_solve_stops_at_a_residual_equal_to_epsilon():
+    # step 1/2 and tau 1/2: one step lands on 0.25 exactly, with residual
+    # 0.25, and the next moves nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        alpha = l1_solve(np.eye(2), np.array([0.5, 0.0]), 0.25, max_iter=2)
+    assert alpha.tolist() == [0.25, 0.0]
+
+
 def test_l1_solve_infeasible_warns():
     X = np.eye(3)[:, :2]
     y = np.array([0.0, 0.0, 1.0])
@@ -645,6 +655,209 @@ def test_l1_solve_validation():
         l1_solve(X, np.ones(3), 0.05, max_iter=0)
     with pytest.raises(NormalizationError):
         l1_solve(2.0 * np.eye(3), np.ones(3), 0.05)
+    # a budget that is not a count fails at the boundary, not inside range()
+    for coder in (l1_solve, lambda D, y, eps, max_iter: _l1_columns(D, y[:, None], eps, max_iter)):
+        for max_iter in (2.5, 1.0, True):
+            with pytest.raises(ParameterError, match="max_iter must be an integer"):
+                coder(Dictionary(X), np.ones(3), 0.05, max_iter)
+    assert np.array_equal(l1_solve(X, np.ones(3), 0.05, max_iter=np.int64(50)),
+                          l1_solve(X, np.ones(3), 0.05, max_iter=50))
+
+
+def ista_oracle(X, y, epsilon, max_iter):
+    """Oracle: the per-sample shrinkage loop, one sample at a time, as
+    ``l1_solve`` ran it before it coded batches. Returns the code, the
+    iterations run, how each stage ended ("delta", "cap" or "budget") and
+    whether the residual reached epsilon."""
+    step = 1.0 / (2.0 * float(np.linalg.eigvalsh(X.T @ X)[-1]))
+    alpha = np.zeros(X.shape[1])
+    best, best_res = alpha, float(np.linalg.norm(y))
+    tau = 0.5 * 2.0 * float(np.max(np.abs(X.T @ y)))
+    left, stops = max_iter, []
+    while left > 0:
+        stop = "budget" if left <= 100 else "cap"
+        for _ in range(min(100, left)):
+            left -= 1
+            grad = 2.0 * (X.T @ (X @ alpha - y))
+            new = alpha - step * grad
+            new = np.sign(new) * np.maximum(np.abs(new) - step * tau, 0.0)
+            delta = float(np.max(np.abs(new - alpha)))
+            alpha = new
+            if delta <= 1e-10 * (1.0 + float(np.max(np.abs(alpha)))):
+                stop = "delta"
+                break
+        stops.append(stop)
+        res = float(np.linalg.norm(y - X @ alpha))
+        if res < best_res:
+            best, best_res = alpha, res
+        if res <= epsilon:
+            return alpha, max_iter - left, stops, True
+        tau *= 0.5
+    return best, max_iter, stops, False
+
+
+@st.composite
+def shrinkage_batches(draw):
+    """A unit dictionary, a batch of samples whose shrinkage stops for
+    every reason at different stages, epsilon and the iteration budget.
+
+    The rows are the canonical rows, a cluster row p, the generic rows and
+    a dead row that no atom touches. The atoms are e_t for each canonical
+    row, K >= 10 exact copies of e_p, and a few generic atoms on the
+    generic rows; the copies make lambda_max(G) = K, so the gradient step
+    is 1 / (2 K). Each column is one of five kinds:
+
+    - "fast": s e_p. The cluster's one direction has eigenvalue K, so a
+      step lands on the stage's fixed point (total code shrink(s, tau/2),
+      residual tau/2) and the next step moves nothing: every stage ends by
+      the delta stop after 2 steps. tau starts at |s| = 2^(j+1) u epsilon,
+      u in [0.55, 0.95], so the residual reaches epsilon at stage j, one
+      step into it.
+    - "slow": s e_t. A canonical coordinate contracts by 1 - 1/K per step,
+      so every stage runs into the 100-step cap, again converging at the
+      end of stage j.
+    - "missed": a fast or slow column plus a dead-row part above epsilon,
+      which no code can remove: the budget runs out and it warns.
+    - "zero": y = 0, done after one step.
+    - "generic": random on the generic rows, stops as it comes.
+
+    A budget below what a fast or slow column needs makes it miss too.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_canon = draw(st.integers(1, 3))
+    K = draw(st.integers(10, 12))
+    m_generic = draw(st.integers(2, 4))
+    n_generic = draw(st.integers(1, m_generic))
+    kinds = draw(st.lists(st.tuples(st.sampled_from(["fast", "slow", "missed", "zero", "generic"]),
+                                    st.integers(0, 3)), min_size=1, max_size=7))
+    max_iter = draw(st.integers(1, 450))
+    epsilon = draw(st.sampled_from([0.05, 0.01]))
+    rng = np.random.default_rng(seed)
+    m = n_canon + m_generic + 2
+    p, dead = n_canon, m - 1
+    generic_rows = np.arange(n_canon + 1, n_canon + 1 + m_generic)
+    atoms = np.zeros((m, n_canon + K + n_generic))
+    atoms[np.arange(n_canon), np.arange(n_canon)] = 1.0
+    atoms[p, n_canon:n_canon + K] = 1.0
+    atoms[generic_rows, n_canon + K:] = unit_columns(rng, m_generic, n_generic)
+    X = atoms[:, rng.permutation(atoms.shape[1])]
+
+    Y = np.zeros((m, len(kinds)))
+    expected = []  # (iterations, converged, stage stops) where they are known
+    for col, (kind, j) in enumerate(kinds):
+        y = Y[:, col]
+        s = epsilon * 2.0 ** (j + 1) * rng.uniform(0.55, 0.95) * rng.choice([-1.0, 1.0])
+        if kind in ("fast", "slow", "missed"):
+            fast = kind == "fast" or (kind == "missed" and rng.random() < 0.5)
+            y[p if fast else rng.integers(n_canon)] = s
+        if kind == "missed":
+            y[dead] = epsilon * rng.uniform(1.5, 4.0)
+            expected.append((max_iter, False, None))
+        elif kind == "fast" and max_iter >= 2 * j + 1:
+            its = min(max_iter, 2 * j + 2)
+            expected.append((its, True, ["delta"] * j + ["delta" if its > 2 * j + 1 else "budget"]))
+        elif kind == "slow" and max_iter >= 100 * (j + 1):
+            last = "budget" if max_iter == 100 * (j + 1) else "cap"
+            expected.append((100 * (j + 1), True, ["cap"] * j + [last]))
+        elif kind in ("fast", "slow") and max_iter <= 100 * j:
+            expected.append((max_iter, False, None))  # stops before stage j
+        elif kind == "zero":
+            expected.append((1, True, ["delta"]))
+        else:
+            if kind == "generic":
+                y[generic_rows] = rng.standard_normal(m_generic)
+            expected.append(None)
+    return np.asfortranarray(X), Y, epsilon, max_iter, [k for k, _ in kinds], expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shrinkage_batches())
+def test_l1_columns_match_the_per_sample_oracle(case):
+    X, Y, epsilon, max_iter, kinds, expected = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        A, iterations = _l1_columns(Dictionary(X), Y, epsilon, max_iter)
+    missed = []
+    for j, (y, kind, exp) in enumerate(zip(Y.T, kinds, expected)):
+        code, its, stops, converged = ista_oracle(X, y, epsilon, max_iter)
+        assert np.array_equal(A[:, j], code)
+        assert iterations[j] == its
+        if not converged:
+            missed.append(j)
+        # each kind stops where it was built to
+        if exp is not None:
+            assert (its, converged) == exp[:2]
+            assert exp[2] is None or stops == exp[2]
+        if not converged:
+            assert its == max_iter
+    assert all(w.category is ConvergenceWarning for w in caught)
+    assert [str(w.message).split(":")[1] for w in caught] == [f" column {j}" for j in missed]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shrinkage_batches(), st.data())
+def test_l1_columns_do_not_depend_on_order_batch_or_chunks(case, data):
+    X, Y, epsilon, max_iter, _, _ = case
+    D = Dictionary(X)
+    N = Y.shape[1]
+    alone, missed = [], set()
+    for j in range(N):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone.append(_l1_columns(D, Y[:, [j]], epsilon, max_iter))
+        if caught:
+            missed.add(j)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        order = data.draw(st.permutations(range(N)))
+        batch = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
+        column_bytes = 8 * (4 * X.shape[1] + 2 * X.shape[0])
+        budgets = [coders.CHUNK_BYTES, 1, data.draw(st.integers(column_bytes, 3 * column_bytes))]
+        for budget in budgets:
+            widths = []
+
+            def shrink(X_, Y_, *args):
+                widths.append(Y_.shape[1])
+                return real_shrink(X_, Y_, *args)
+
+            real_shrink = coders._shrink
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(coders, "CHUNK_BYTES", budget)
+                mp.setattr(coders, "_shrink", shrink)
+                for cols in (order, batch):
+                    caught.clear()
+                    A, iterations = _l1_columns(D, Y[:, cols], epsilon, max_iter)
+                    for c, j in enumerate(cols):
+                        assert np.array_equal(A[:, c], alone[j][0][:, 0])
+                        assert iterations[c] == alone[j][1][0]
+                    named = [str(w.message).split(":")[1] for w in caught]
+                    assert named == [f" column {c}" for c, j in enumerate(cols) if j in missed]
+            if budget == 1:
+                assert widths == [1] * (N + len(batch))
+            assert sum(widths) == N + len(batch)
+
+
+def test_l1_columns_warn_once_for_the_column_that_misses_epsilon():
+    rng = np.random.default_rng(21)
+    X = unit_columns(rng, 12, 8)
+    D = Dictionary(X)
+    Y = X @ (rng.standard_normal((8, 6)) * (rng.random((8, 6)) < 0.4))
+    Y[:, 0] = X[:, 5]
+    # column 3 keeps a part outside span(X) far above epsilon
+    Q, _ = np.linalg.qr(X, mode="complete")
+    Y[:, 3] += 0.5 * Q[:, 8:] @ unit_columns(rng, 4, 1)[:, 0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        A, iterations = _l1_columns(D, Y, 0.05, 2000)
+    assert len(caught) == 1 and caught[0].category is ConvergenceWarning
+    assert "column 3: residual" in str(caught[0].message)
+    assert iterations[3] == 2000 and (iterations[[0, 1, 2, 4, 5]] < 2000).all()
+    for j in (0, 1, 2, 4, 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            code, its = _l1_columns(D, Y[:, [j]], 0.05, 2000)
+        assert np.array_equal(A[:, j], code[:, 0]) and iterations[j] == its[0]
+        assert np.linalg.norm(Y[:, j] - X @ A[:, j]) <= 0.05
 
 
 def test_projector_reuse_bitwise():
