@@ -35,7 +35,6 @@ from .coders import (
     DEFAULT_SPARSITY,
     _l1_columns,
     _omp_columns,
-    check_param,
     check_sparsity,
     fit_crc,
     fit_procrc,
@@ -58,7 +57,7 @@ from .errors import (
     DimensionError,
     RclsError,
 )
-from .linalg import Dictionary, as_samples
+from .linalg import Dictionary, as_samples, check_integer, check_param
 
 log = logging.getLogger(__name__)
 
@@ -69,28 +68,14 @@ DEFAULT_GAMMA = 0.5
 DEFAULT_EPSILON = 0.05
 DEFAULT_TRIALS = 10
 
-def _is_count(value):
-    """True for a genuine integer >= 1 (bool is an int subclass but is not a
-    count)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-# Parameters each method actually consumes; the rest are ignored.
-_REQUIRED_PARAMS = {
-    "src": ("epsilon",),
-    "crc": ("lam",),
-    "procrc": ("lam", "gamma"),
-    "sa_crc": ("lam", "k"),
-    "sa_procrc": ("lam", "gamma", "k"),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a repeated-trial run depends on.
 
-    ``dataset`` is either a file path (str) or a SynthSpec. Parameters not
-    used by ``method`` are carried but ignored.
+    ``dataset`` is either a file path (str) or a SynthSpec. Every field
+    is type- and range-checked here, whether or not ``method`` uses it;
+    ``projection_dim`` None means no projection.
     """
 
     dataset: object
@@ -111,24 +96,13 @@ class ExperimentConfig:
             )
         if not isinstance(self.dataset, (str, os.PathLike, SynthSpec)):
             raise ConfigError("dataset must be a file path or a SynthSpec")
-        if not _is_count(self.trials):
-            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not _is_count(self.per_class_train):
-            raise ConfigError(
-                f"per_class_train must be an integer >= 1, got {self.per_class_train!r}"
-            )
-        if self.projection_dim is not None and not _is_count(self.projection_dim):
-            raise ConfigError(
-                f"projection_dim must be an integer >= 1, got {self.projection_dim!r}"
-            )
-        for p in _REQUIRED_PARAMS[self.method]:
-            if getattr(self, p) is None:
-                raise ConfigError(f"method {self.method!r} requires parameter {p!r}")
-        for p in ("lam", "gamma", "epsilon"):
-            if getattr(self, p) is not None:
-                check_param(p, getattr(self, p), zero_ok=p == "gamma", error=ConfigError)
-        if self.k is not None and not _is_count(self.k):
-            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
+        for name in ("per_class_train", "trials", "k"):
+            check_integer(name, getattr(self, name), 1, ConfigError)
+        check_integer("base_seed", self.base_seed, 0, ConfigError)
+        if self.projection_dim is not None:
+            check_integer("projection_dim", self.projection_dim, 1, ConfigError)
+        for name in ("lam", "gamma", "epsilon"):
+            check_param(name, getattr(self, name), zero_ok=name == "gamma", error=ConfigError)
 
 
 @dataclass(frozen=True)
@@ -576,46 +550,44 @@ def dump_diagnostics(state, y, out_dir):
     return decision, written
 
 
-_TOP_KEYS = {
-    "dataset", "synth", "method", "methods", "lambda", "gamma", "k",
-    "epsilon", "per_class_train", "trials", "base_seed", "projection_dim",
-}
-_SYNTH_KEYS = {"classes", "ambient_dim", "subspace_dim", "per_class",
-               "noise_sigma", "seed"}
+# config key -> ExperimentConfig field, and synth key -> SynthSpec field.
+# The reader only renames keys: the two records check every value.
+_FIELDS = {"lambda": "lam", **{key: key for key in (
+    "dataset", "method", "per_class_train", "trials", "base_seed", "gamma",
+    "k", "epsilon", "projection_dim",
+)}}
+_SYNTH_FIELDS = {"classes": "C", **{key: key for key in (
+    "ambient_dim", "subspace_dim", "per_class", "noise_sigma", "seed",
+)}}
 
 
-def _as_int(value, key):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _build(record, fields, node, path, prefix=""):
+    """``record`` of the config mapping ``node``, its keys renamed through
+    ``fields``. The record's checks name the field first; an error they
+    raise becomes a ConfigError that names the config key instead."""
+    try:
+        return record(**{fields[key]: value for key, value in node.items()})
+    except RclsError as err:
+        field, _, rest = str(err).partition(" ")
+        key = {f: k for k, f in fields.items()}.get(field, field)
+        raise ConfigError(f"{path}: {prefix}{key} {rest}") from None
 
 
-def _as_float(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _parse_synth(node):
+def _parse_synth(node, path):
     if not isinstance(node, dict):
-        raise ConfigError("synth must be a mapping")
-    unknown = set(node) - _SYNTH_KEYS
+        raise ConfigError(f"{path}: synth must be a mapping")
+    unknown = set(node) - set(_SYNTH_FIELDS)
     if unknown:
-        raise ConfigError(f"unknown synth keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"{path}: unknown synth keys: {', '.join(sorted(map(str, unknown)))}")
     for req in ("classes", "ambient_dim", "subspace_dim", "per_class"):
         if req not in node:
-            raise ConfigError(f"synth is missing required key {req!r}")
-    return SynthSpec(
-        C=_as_int(node["classes"], "synth.classes"),
-        ambient_dim=_as_int(node["ambient_dim"], "synth.ambient_dim"),
-        subspace_dim=_as_int(node["subspace_dim"], "synth.subspace_dim"),
-        per_class=_as_int(node["per_class"], "synth.per_class"),
-        noise_sigma=_as_float(node.get("noise_sigma", 0.0), "synth.noise_sigma"),
-        seed=_as_int(node.get("seed", 0), "synth.seed"),
-    )
+            raise ConfigError(f"{path}: synth is missing required key {req!r}")
+    return _build(SynthSpec, _SYNTH_FIELDS, node, path, "synth.")
 
 
 def _parse_doc(path):
+    """The config mapping, and its keys other than ``synth`` and
+    ``methods`` with ``synth`` read as the ``dataset`` SynthSpec."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -623,63 +595,40 @@ def _parse_doc(path):
         raise ConfigError(f"{path}: invalid config syntax: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping of keys to values")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - set(_FIELDS) - {"synth", "methods"}
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(map(str, unknown)))}")
     if ("dataset" in doc) == ("synth" in doc):
         raise ConfigError(f"{path}: exactly one of 'dataset' or 'synth' is required")
-    if "dataset" in doc:
-        if not isinstance(doc["dataset"], str):
-            raise ConfigError(f"{path}: dataset must be a file path string")
-        source = doc["dataset"]
-    else:
-        source = _parse_synth(doc["synth"])
     if "per_class_train" not in doc:
         raise ConfigError(f"{path}: per_class_train is required")
-    kwargs = {
-        "dataset": source,
-        "per_class_train": _as_int(doc["per_class_train"], "per_class_train"),
-    }
-    if "trials" in doc:
-        kwargs["trials"] = _as_int(doc["trials"], "trials")
-    if "base_seed" in doc:
-        kwargs["base_seed"] = _as_int(doc["base_seed"], "base_seed")
-    if "lambda" in doc:
-        kwargs["lam"] = _as_float(doc["lambda"], "lambda")
-    if "gamma" in doc:
-        kwargs["gamma"] = _as_float(doc["gamma"], "gamma")
-    if "k" in doc:
-        kwargs["k"] = _as_int(doc["k"], "k")
-    if "epsilon" in doc:
-        kwargs["epsilon"] = _as_float(doc["epsilon"], "epsilon")
-    if "projection_dim" in doc:
-        kwargs["projection_dim"] = _as_int(doc["projection_dim"], "projection_dim")
-    return doc, kwargs
+    node = {key: value for key, value in doc.items() if key in _FIELDS}
+    if "synth" in doc:
+        node["dataset"] = _parse_synth(doc["synth"], path)
+    return doc, node
 
 
 def load_experiment_config(path):
     """Parse a single-method experiment config (YAML mapping). Unknown keys
-    are rejected."""
-    doc, kwargs = _parse_doc(path)
+    are rejected, and so is every value ExperimentConfig or SynthSpec
+    rejects, with a ConfigError that names the key."""
+    doc, node = _parse_doc(path)
     if "method" not in doc:
         raise ConfigError(f"{path}: method is required")
     if "methods" in doc:
         raise ConfigError(f"{path}: 'methods' is only valid in a comparison config")
-    if not isinstance(doc["method"], str):
-        raise ConfigError(f"{path}: method must be a string")
-    return ExperimentConfig(method=doc["method"], **kwargs)
+    return _build(ExperimentConfig, _FIELDS, node, path)
 
 
 def load_compare_configs(path):
     """Parse a comparison config: like an experiment config but with a
     'methods' list; one config per method, all other fields shared."""
-    doc, kwargs = _parse_doc(path)
+    doc, node = _parse_doc(path)
     if "method" in doc:
         raise ConfigError(f"{path}: use 'methods' (a list) in a comparison config")
     methods = doc.get("methods")
     if not isinstance(methods, list) or not methods:
         raise ConfigError(f"{path}: methods must be a nonempty list")
-    for m in methods:
-        if not isinstance(m, str):
-            raise ConfigError(f"{path}: methods entries must be strings, got {m!r}")
-    return tuple(ExperimentConfig(method=m, **kwargs) for m in methods)
+    return tuple(
+        _build(ExperimentConfig, _FIELDS, {**node, "method": m}, path) for m in methods
+    )

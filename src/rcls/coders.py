@@ -6,8 +6,6 @@ sparse coder, and an iterative-shrinkage l1 solver for the sparse-residual
 baseline. Both sparse coders code a batch of samples in lockstep.
 """
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +18,15 @@ from .errors import (
     NormalizationError,
     ParameterError,
 )
-from .linalg import _frozen_array, as_dictionary, as_mat, as_vec, spd_solve
+from .linalg import (
+    _frozen_array,
+    as_dictionary,
+    as_mat,
+    as_vec,
+    check_integer,
+    check_param,
+    spd_solve,
+)
 
 # Column norms OMP will accept as "unit".
 UNIT_NORM_TOL = 1e-6
@@ -96,13 +102,6 @@ class SparseCode:
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
         if len(set(self.support)) != len(self.support):
             raise ParameterError("support indices must be distinct")
-
-
-def check_param(name, value, zero_ok=False, error=ParameterError):
-    """Raise ``error`` unless ``value`` is finite and > 0 (>= 0 if ``zero_ok``)."""
-    bound = ">=" if zero_ok else ">"
-    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
-        raise error(f"{name} must be finite and {bound} 0, got {value}")
 
 
 def fit_crc(X, lam):
@@ -183,12 +182,6 @@ def _check_unit_norms(G):
             f"columns must be unit-normalized; column {bad[0]} has norm "
             f"{norms[bad[0]]:.6g}"
         )
-
-
-def check_integer(name, value):
-    """Raise ParameterError unless ``value`` is an integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def check_sparsity(k, m, n):
@@ -375,9 +368,7 @@ def _l1_columns(D, Y, epsilon, max_iter):
     m, n = X.shape
     _check_unit_norms(D.G)
     check_param("epsilon", epsilon)
-    check_integer("max_iter", max_iter)
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    check_integer("max_iter", max_iter, 1)
     step = 1.0 / D.lipschitz
     N = Y.shape[1]
     codes = np.empty((n, N))

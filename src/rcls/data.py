@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .linalg import _frozen_array, as_labels, as_mat
+from .linalg import _frozen_array, as_labels, as_mat, check_integer, check_param
 
 BIN_MAGIC = b"RCLS"
 BIN_VERSION = 1
@@ -43,6 +43,7 @@ class Dataset:
     label_mapping: tuple | None = None
 
     def __post_init__(self):
+        check_integer("C", self.C, 1, DatasetError)
         X = as_mat(self.X, "X")
         labels = as_labels(self.labels)
         if labels.ndim != 1 or labels.size != X.shape[1]:
@@ -92,7 +93,8 @@ class Split:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Per-class random-subspace generator settings."""
+    """Per-class random-subspace generator settings: counts are integers
+    >= 1, the seed an integer >= 0 and ``noise_sigma`` finite and >= 0."""
 
     C: int
     ambient_dim: int
@@ -102,15 +104,15 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.C < 1 or self.per_class < 1:
-            raise ParameterError("C and per_class must be >= 1")
-        if not 1 <= self.subspace_dim <= self.ambient_dim:
+        for name in ("C", "ambient_dim", "subspace_dim", "per_class"):
+            check_integer(name, getattr(self, name), 1)
+        if self.subspace_dim > self.ambient_dim:
             raise ParameterError(
                 f"subspace_dim must be in [1, {self.ambient_dim}], "
                 f"got {self.subspace_dim}"
             )
-        if self.noise_sigma < 0:
-            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        check_param("noise_sigma", self.noise_sigma, zero_ok=True)
+        check_integer("seed", self.seed, 0)
 
 
 def atomic_write_bytes(path, payload):
@@ -298,12 +300,12 @@ def normalize_columns(dataset):
 def random_project(dataset, target_dim, seed):
     """Project samples through a seeded Gaussian map R (target_dim x m)
     with entries N(0, 1)/sqrt(target_dim)."""
+    check_integer("target_dim", target_dim, 1)
+    check_integer("seed", seed, 0)
     if target_dim > dataset.m:
         raise ParameterError(
             f"target_dim {target_dim} exceeds feature dimension {dataset.m}"
         )
-    if target_dim < 1:
-        raise ParameterError(f"target_dim must be >= 1, got {target_dim}")
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((target_dim, dataset.m)) / np.sqrt(target_dim)
     return replace(dataset, X=np.asfortranarray(R @ dataset.X))
@@ -312,8 +314,8 @@ def random_project(dataset, target_dim, seed):
 def split(dataset, per_class_train, seed):
     """Seeded uniform train/test split: exactly ``per_class_train`` training
     samples drawn without replacement from every class."""
-    if per_class_train < 1:
-        raise ParameterError(f"per_class_train must be >= 1, got {per_class_train}")
+    check_integer("per_class_train", per_class_train, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     train_parts = []
     test_parts = []

@@ -6,6 +6,8 @@ systems are solved through a Cholesky factorization.
 """
 
 import functools
+import math
+import numbers
 
 import numpy as np
 from scipy.linalg import lapack
@@ -87,6 +89,28 @@ def as_labels(labels):
             raise DatasetError(f"label {a[bad].flat[0]} is not an integer")
         a = f
     return a.astype(np.int64, copy=False)
+
+
+def check_param(name, value, zero_ok=False, error=ParameterError):
+    """Raise ``error`` unless ``value`` is a number (not a bool), finite
+    and > 0 (>= 0 if ``zero_ok``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        bound = ">=" if zero_ok else ">"
+        raise error(f"{name} must be finite and {bound} 0, got {value}")
+
+
+def check_integer(name, value, minimum=None, error=ParameterError):
+    """Raise ``error`` unless ``value`` is an integer (not a bool), and at
+    least ``minimum`` when one is given."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def gram(X):

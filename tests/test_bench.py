@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,15 @@ from rcls.classify import (
     score,
 )
 from rcls.coders import omp
-from rcls.data import Dataset, SynthSpec, normalize_columns, save_bin, save_csv, synth
+from rcls.data import (
+    Dataset,
+    SynthSpec,
+    normalize_columns,
+    save_bin,
+    save_csv,
+    split,
+    synth,
+)
 from rcls.errors import (
     ConfigError,
     DataError,
@@ -110,11 +119,9 @@ def test_config_requires_method_parameters():
         ExperimentConfig(
             dataset=CLEAN, method="sa_procrc", per_class_train=4, gamma=None
         )
-    # parameters a method does not use may be absent
-    cfg = ExperimentConfig(
-        dataset=CLEAN, method="crc", per_class_train=4, epsilon=None, gamma=None
-    )
-    assert cfg.lam > 0
+    # parameters a method does not use are checked all the same
+    with pytest.raises(ConfigError, match="epsilon must be a number, got None"):
+        ExperimentConfig(dataset=CLEAN, method="crc", per_class_train=4, epsilon=None)
 
 
 def test_config_rejects_non_path_dataset():
@@ -748,6 +755,14 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_experiment_config(p)
     assert "momentum" in str(exc.value)
+    # YAML keys need not be strings
+    p2 = write_cfg(tmp_path, SYNTH_BLOCK + "method: crc\n1: a\n", "c2.yaml")
+    with pytest.raises(ConfigError, match="unknown config keys: 1"):
+        load_experiment_config(p2)
+    block = SYNTH_BLOCK.replace("seed: 0", "seed: 0\n  2: b")
+    p3 = write_cfg(tmp_path, block + "method: crc\n", "c3.yaml")
+    with pytest.raises(ConfigError, match="unknown synth keys: 2"):
+        load_experiment_config(p3)
 
 
 def test_load_experiment_config_rejects_unknown_synth_keys(tmp_path):
@@ -827,3 +842,59 @@ def test_load_compare_configs_rejects_single_method_key(tmp_path):
     p3 = write_cfg(tmp_path, SYNTH_BLOCK + "methods: [crc, 5]\n", "c3.yaml")
     with pytest.raises(ConfigError):
         load_compare_configs(p3)
+
+
+# ---------------------------------------------------------------- one verdict per scalar
+
+
+SCALARS = {
+    "int64": np.int64(3), "float64": np.float64(0.5), "bool": True, "float": 2.5,
+    "str": "2", "None": None, "nan": float("nan"), "inf": float("inf"), "negative": -1,
+}
+# parameter, its config key, the method whose fit checks it (None: the
+# split seed), and the SCALARS it accepts
+VERDICTS = [
+    ("lam", "lambda", "crc", {"int64", "float64", "float"}),
+    ("gamma", "gamma", "procrc", {"int64", "float64", "float"}),
+    ("epsilon", "epsilon", "src", {"int64", "float64", "float"}),
+    ("k", "k", "sa_crc", {"int64"}),
+    ("base_seed", "base_seed", None, {"int64"}),
+]
+
+
+def accepts(call):
+    try:
+        call()
+    except (ConfigError, ParameterError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(SCALARS))
+@pytest.mark.parametrize(
+    "param, key, method, accepted", VERDICTS, ids=[row[0] for row in VERDICTS]
+)
+def test_each_scalar_gets_one_verdict_everywhere(tmp_path, param, key, method, accepted, name):
+    value = SCALARS[name]
+    plain = value.item() if isinstance(value, np.generic) else value
+    cfg_method = method or "crc"
+    p = write_cfg(
+        tmp_path, SYNTH_BLOCK + f"method: {cfg_method}\n" + yaml.safe_dump({key: plain})
+    )
+    if method is None:
+        def library():
+            split(synth(CLEAN), 4, value)
+    else:
+        train = grouped_train(CLEAN)
+
+        def library():
+            fit_method(method, train, **{param: value})
+
+    verdicts = {
+        "ExperimentConfig": accepts(lambda: ExperimentConfig(
+            dataset=CLEAN, method=cfg_method, per_class_train=4, **{param: value}
+        )),
+        "config file": accepts(lambda: load_experiment_config(p)),
+        "library": accepts(library),
+    }
+    assert verdicts == dict.fromkeys(verdicts, name in accepted)

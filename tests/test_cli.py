@@ -58,6 +58,18 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+    ("--noise", "nan", "noise_sigma must be finite and >= 0, got nan"),
+])
+def test_synth_rejects_negative_seed_and_nan_noise(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.rcls"
+    rc = cli.main(SYNTH_ARGS + [flag, value, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ParameterError: {message}\n"
+    assert not out.exists()
+
+
 def test_classify_train_on_test_is_perfect(tmp_path, capsys):
     data = make_data(tmp_path)
     capsys.readouterr()
@@ -278,6 +290,25 @@ def test_bad_config_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:")
     assert "warp_drive" in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("per_class_train: 4", "per_class_train: 4\nbase_seed: -1",
+     "base_seed must be an integer >= 0, got -1"),
+    ("  seed: 5", "  seed: -1", "synth.seed must be an integer >= 0, got -1"),
+    ("noise_sigma: 0.4", "noise_sigma: .nan",
+     "synth.noise_sigma must be finite and >= 0, got nan"),
+    ("classes: 3", "classes: 0", "synth.classes must be an integer >= 1, got 0"),
+    ("classes: 3", "classes: 2.5", "synth.classes must be an integer >= 1, got 2.5"),
+    ("trials: 3", "trials: 3\nlambda: -1", "lambda must be finite and > 0, got -1"),
+])
+def test_bad_config_value_exits_two_naming_the_key(tmp_path, capsys, old, new, message):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(CONFIG.replace(old, new))
+    assert cli.main(["bench", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ConfigError: {cfg_path}: {message}\n"
 
 
 def test_corrupt_data_exits_two(tmp_path, capsys):

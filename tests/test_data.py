@@ -52,6 +52,9 @@ def test_dataset_validation():
         with pytest.raises(DatasetError, match="is not an integer"):
             Dataset(X=X, labels=labels, C=2)
     assert Dataset(X=X, labels=[1.0, 1.0, 2.0], C=2).labels.tolist() == [1, 1, 2]
+    for C in (2.0, True, None):
+        with pytest.raises(DatasetError, match="C must be an integer >= 1"):
+            Dataset(X=X, labels=[1, 1, 2], C=C)
     ds = Dataset(X=X, labels=[1, 1, 2], C=2)
     assert ds.m == 3 and ds.n == 3
     assert ds.class_sizes == (2, 1)
@@ -331,6 +334,10 @@ def test_random_project_validation():
         random_project(ds, 4, seed=0)
     with pytest.raises(ParameterError):
         random_project(ds, 0, seed=0)
+    with pytest.raises(ParameterError, match="target_dim must be an integer"):
+        random_project(ds, 2.0, seed=0)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0, got -1"):
+        random_project(ds, 2, seed=-1)
 
 
 # ---------------------------------------------------------------- split
@@ -376,6 +383,11 @@ def test_split_validation():
     ds = random_dataset(rng, 3, 5, 2)
     with pytest.raises(ParameterError):
         split(ds, 0, seed=0)
+    with pytest.raises(ParameterError, match="per_class_train must be an integer"):
+        split(ds, 2.5, seed=0)
+    # numpy's own error for a negative seed is not an rcls error
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0, got -1"):
+        split(ds, 3, -1)
 
 
 # ---------------------------------------------------------------- synth
@@ -423,6 +435,18 @@ def test_synth_spec_validation():
         SynthSpec(C=2, ambient_dim=5, subspace_dim=6, per_class=3)
     with pytest.raises(ParameterError):
         SynthSpec(C=2, ambient_dim=5, subspace_dim=1, per_class=3, noise_sigma=-0.1)
+    # nan would pass a plain `< 0` test and then skip the noise
+    for sigma in (float("nan"), float("inf"), True, "0.1", None):
+        with pytest.raises(ParameterError, match="noise_sigma must be"):
+            SynthSpec(C=2, ambient_dim=5, subspace_dim=1, per_class=3, noise_sigma=sigma)
+    for C in (2.5, True, "2", None):
+        with pytest.raises(ParameterError, match=f"C must be an integer >= 1, got {C!r}"):
+            SynthSpec(C=C, ambient_dim=5, subspace_dim=1, per_class=3)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0, got -1"):
+        SynthSpec(C=2, ambient_dim=5, subspace_dim=1, per_class=3, seed=-1)
+    spec = SynthSpec(C=np.int64(2), ambient_dim=5, subspace_dim=1, per_class=3,
+                     noise_sigma=np.float64(0.1), seed=np.int64(0))
+    assert synth(spec).C == 2
 
 
 # ---------------------------------------------------------------- atomic IO
