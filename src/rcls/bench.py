@@ -254,7 +254,10 @@ def fit_method(
 
     The train columns must be unit-normalized and grouped by class (the
     order produced by split + take_columns). One Dictionary of the train
-    columns, checked and its Gram matrix built once, serves every stage.
+    columns, checked once, serves every stage. Its Gram matrix is built
+    here for the sparse coders (``src``, ``sa_*``), so coding a sample
+    builds and checks nothing; the dense fits read it only when there are
+    no more train columns than features (m >= n).
     """
     if method not in METHODS:
         raise ConfigError(
@@ -271,7 +274,7 @@ def fit_method(
     blocks = split_blocks(train.X, sizes)
     D = Dictionary(train.X)
     if method == "src":
-        D.lipschitz  # the l1 step bound is part of the fit, not of a sample
+        D.lipschitz  # G and the l1 step bound are part of the fit, not of a sample
         def coder(Y):
             return _l1_columns(D, Y, epsilon, DEFAULT_MAX_ITER)[0]
 
@@ -287,6 +290,7 @@ def fit_method(
     if method == "procrc":
         return _FittedResidual(method, projector.code, residual_scores, blocks)
     L = build_label_matrix(train.labels, train.C)
+    D.G  # the pursuit reads G: build it with the fit, not with the first sample
     return FittedSa(method, projector, D, L, k, blocks)
 
 

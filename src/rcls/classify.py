@@ -16,7 +16,7 @@ from .errors import (
     DegenerateFusionError,
     DimensionError,
 )
-from .linalg import _frozen_array, as_labels, as_vec
+from .linalg import _frozen_array, as_labels, as_vec, class_slices
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,5 @@ def score(L, alpha_fused):
 def split_blocks(X, class_sizes):
     """Views of X's contiguous per-class column blocks."""
     X = np.asarray(X)
-    sizes = [int(s) for s in class_sizes]
-    if sum(sizes) != X.shape[1]:
-        raise DimensionError(
-            f"class sizes sum to {sum(sizes)} but X has {X.shape[1]} columns"
-        )
-    blocks = []
-    start = 0
-    for size in sizes:
-        blocks.append(X[:, start:start + size])
-        start += size
-    return blocks
+    n = X.shape[1]
+    return [X[:, sl] for sl in class_slices(class_sizes, n, f"X has {n} columns")]

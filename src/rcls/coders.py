@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceWarning,
-    DatasetError,
     DimensionError,
     NormalizationError,
     ParameterError,
@@ -25,6 +24,7 @@ from .linalg import (
     as_vec,
     check_integer,
     check_param,
+    class_slices,
     spd_solve,
 )
 
@@ -54,7 +54,8 @@ def _project(M, Y):
 
 @dataclass(frozen=True)
 class CrcProjector:
-    """Precomputed ridge solve operator P = (X^T X + lam I)^-1 X^T.
+    """Precomputed ridge solve operator P = (X^T X + lam I)^-1 X^T, an
+    n x m matrix (see ``fit_crc`` for how it is solved).
 
     Coding test samples is a single product: ``code(Y) = P @ Y``.
     """
@@ -72,8 +73,9 @@ class CrcProjector:
 class ProCrcProjector:
     """Precomputed solve operator for the class-consistent dense coder.
 
-    ``T = (X^T X + (gamma/C) S + lam I)^-1 X^T`` where S is the summed
-    leave-one-class-out Gram matrix (see ``build_gram_sum``).
+    ``T = (X^T X + (gamma/C) S + lam I)^-1 X^T``, an n x m matrix, where S
+    is the summed leave-one-class-out Gram matrix (see ``build_gram_sum``
+    for S and ``fit_procrc`` for how T is solved). ``code(Y) = T @ Y``.
     """
 
     T: np.ndarray
@@ -107,14 +109,29 @@ class SparseCode:
 def fit_crc(X, lam):
     """Fit the ridge-regularized dense coder.
 
-    Solves (X^T X + lam I) P = X^T by Cholesky so that P maps a test sample
-    straight to its dense coefficients. ``X`` is a matrix or a Dictionary.
+    Returns P = (X^T X + lam I)^-1 X^T, which maps a test sample straight to
+    its dense coefficients. For an m x n ``X`` (a matrix or a Dictionary)
+    with m < n it is solved in the sample dimension, through the
+    push-through identity P = X^T (X X^T + lam I)^-1: one m x m Cholesky
+    solve against X. For m >= n it is one n x n Cholesky solve,
+    (X^T X + lam I) P = X^T.
     """
     D = as_dictionary(X)
     check_param("lam", lam)
+    return CrcProjector(P=_ridge_operator(D, lam))
+
+
+def _ridge_operator(D, lam):
+    """``fit_crc``'s P for the Dictionary D and a checked ``lam``."""
+    X = D.X
+    m, n = X.shape
+    if m < n:
+        A = X @ X.T  # one syrk: exactly symmetric
+        A[np.diag_indices(m)] += lam
+        return spd_solve(A, X).T
     A = np.array(D.G, order="F")
-    A[np.diag_indices(A.shape[0])] += lam
-    return CrcProjector(P=spd_solve(A, D.X.T))
+    A[np.diag_indices(n)] += lam
+    return spd_solve(A, X.T)
 
 
 def build_gram_sum(G, class_sizes):
@@ -128,24 +145,14 @@ def build_gram_sum(G, class_sizes):
     n = G.shape[0]
     if G.shape[0] != G.shape[1]:
         raise DimensionError(f"G must be square, got shape {G.shape}")
-    sizes = [int(s) for s in class_sizes]
-    if sum(sizes) != n:
-        raise DimensionError(
-            f"class sizes sum to {sum(sizes)} but G is {n}x{n}"
-        )
-    return _gram_sum(G, sizes)
+    return _gram_sum(G, class_slices(class_sizes, n, f"G is {n}x{n}"))
 
 
-def _gram_sum(G, sizes):
-    """``build_gram_sum`` for a checked G and class sizes that sum to its
-    order."""
-    C = len(sizes)
-    S = (C - 2.0) * G
-    start = 0
-    for size in sizes:
-        sl = slice(start, start + size)
+def _gram_sum(G, slices):
+    """``build_gram_sum`` for a checked G and its checked class slices."""
+    S = (len(slices) - 2.0) * G
+    for sl in slices:
         S[sl, sl] += G[sl, sl]
-        start += size
     return np.asfortranarray(S)
 
 
@@ -153,25 +160,43 @@ def fit_procrc(X, class_sizes, lam, gamma):
     """Fit the class-consistent dense coder.
 
     Adds a per-class consistency penalty, weight gamma/C, on top of the ridge
-    objective. gamma = 0 reduces exactly to the plain ridge coder. Columns of
-    X (a matrix or a Dictionary) must be grouped by class in ``class_sizes``
-    order.
+    objective; columns of X (a matrix or a Dictionary) must be grouped by
+    class in ``class_sizes`` order. Returns
+    T = (X^T X + (gamma/C) S + lam I)^-1 X^T with S = (C-2) G + blockdiag(G)
+    (``build_gram_sum``), so the system matrix is a G + B with
+    a = 1 + gamma (C-2)/C and B = (gamma/C) blockdiag(G) + lam I.
+
+    With C = 1 or gamma = 0 the class term vanishes and T is ``fit_crc``'s
+    P. For an m x n X with m < n, T is solved in the sample dimension by
+    the Woodbury identity: with W = B^-1 X^T, one Cholesky solve per class
+    block, T = W (I/a + X W)^-1 / a = W (I + a X W)^-1, one m x m Cholesky
+    solve; no n x n matrix is formed. For m >= n it is one n x n Cholesky
+    solve.
     """
     D = as_dictionary(X)
     check_param("lam", lam)
     check_param("gamma", gamma, zero_ok=True)
-    sizes = [int(s) for s in class_sizes]
-    if len(sizes) < 1:
-        raise ParameterError("need at least one class")
-    if any(s < 1 for s in sizes):
-        raise DatasetError(f"every class must be nonempty, got sizes {sizes}")
-    n = D.X.shape[1]
-    if sum(sizes) != n:
-        raise DimensionError(f"class sizes sum to {sum(sizes)} but X has {n} columns")
-    C = len(sizes)
-    A = D.G + (gamma / C) * _gram_sum(D.G, sizes)
-    A[np.diag_indices(n)] += lam
-    return ProCrcProjector(T=spd_solve(A, D.X.T))
+    X = D.X
+    m, n = X.shape
+    slices = class_slices(class_sizes, n, f"X has {n} columns")
+    C = len(slices)
+    if C == 1 or gamma == 0:
+        return ProCrcProjector(T=_ridge_operator(D, lam))
+    if m >= n:
+        A = D.G + (gamma / C) * _gram_sum(D.G, slices)
+        A[np.diag_indices(n)] += lam
+        return ProCrcProjector(T=spd_solve(A, X.T))
+    a = 1.0 + gamma * (C - 2) / C
+    W = np.empty((n, m))
+    for sl in slices:
+        Xi = X[:, sl]
+        B = (gamma / C) * (Xi.T @ Xi)
+        B[np.diag_indices(B.shape[0])] += lam
+        W[sl] = spd_solve(B, Xi.T)
+    K = X @ W  # X B^-1 X^T, symmetric up to rounding
+    K = (0.5 * a) * (K + K.T)
+    K[np.diag_indices(m)] += 1.0
+    return ProCrcProjector(T=spd_solve(K, W.T).T)
 
 
 def _check_unit_norms(G):

@@ -2,7 +2,9 @@
 
 Everything is 64-bit floating point. Matrices are stored column-major so a
 sample (one column) is contiguous. Inverses are never formed explicitly;
-systems are solved through a Cholesky factorization.
+systems are solved through a Cholesky factorization. scipy's LAPACK
+wrappers are imported by the first solve, so importing rcls (and running
+what never fits, such as ``rcls convert``) does not load scipy.
 """
 
 import functools
@@ -10,7 +12,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DataError,
@@ -113,6 +114,22 @@ def check_integer(name, value, minimum=None, error=ParameterError):
         raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def class_slices(class_sizes, n, what):
+    """The column slices of contiguous class blocks of ``class_sizes``.
+    Each size must be an integer >= 1 (DatasetError) and they must sum to
+    ``n`` (DimensionError, ending with ``what``)."""
+    slices = []
+    start = 0
+    for i, size in enumerate(class_sizes):
+        check_integer(f"size of class {i + 1}", size, 1, error=DatasetError)
+        end = start + int(size)
+        slices.append(slice(start, end))
+        start = end
+    if start != n:
+        raise DimensionError(f"class sizes sum to {start} but {what}")
+    return slices
+
+
 def gram(X):
     """Gram matrix G with G[p, q] = column_p . column_q.
 
@@ -131,6 +148,8 @@ def spd_solve(A, B):
     the residual ||A S - B||_F <= SOLVE_RTOL * ||B||_F, applying one step of
     iterative refinement if the first solve falls short. ``B`` is a matrix.
     """
+    from scipy.linalg import lapack
+
     A = as_mat(A, "A")
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
@@ -170,14 +189,17 @@ def spd_solve(A, B):
 
 class Dictionary:
     """A dictionary X (columns are atoms) checked once, with what coding
-    needs from it alone: ``G = gram(X)``, built on construction, and the l1
-    step bound ``lipschitz`` = 2 * lambda_max(G), computed on first use.
+    needs from it alone, each computed on first use: the Gram matrix
+    ``G = gram(X)``, which the sparse coders and the n x n (m >= n) dense
+    fits read, and the l1 step bound ``lipschitz`` = 2 * lambda_max(G).
     ``X`` and ``G`` are read-only; the caller's array stays writeable."""
 
     def __init__(self, X):
-        X = as_mat(X, "X")
-        self.X = _frozen_array(X)
-        self.G = _frozen_array(gram(X))
+        self.X = _frozen_array(as_mat(X, "X"))
+
+    @functools.cached_property
+    def G(self):
+        return _frozen_array(gram(self.X))
 
     @functools.cached_property
     def lipschitz(self):

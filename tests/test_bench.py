@@ -253,6 +253,21 @@ def test_sa_coding_never_rechecks_the_dictionary(monkeypatch):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_only_the_sparse_coders_build_the_gram_matrix(method, monkeypatch):
+    from rcls import linalg
+
+    calls = []
+    gram = linalg.gram
+    monkeypatch.setattr(linalg, "gram", lambda X: calls.append(X.shape) or gram(X))
+    train = grouped_train(NOISY, per_class_train=5)  # 10-dimensional samples, 20 atoms
+    state = fit_method(method, train, k=4)
+    sparse = method == "src" or method.startswith("sa_")
+    assert calls == ([(train.m, train.n)] if sparse else [])
+    state.compute_code(train.X[:, 0])
+    assert len(calls) == sparse
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_only_src_fit_computes_the_lipschitz_bound(method, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh

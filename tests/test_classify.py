@@ -360,5 +360,8 @@ def test_split_blocks_views_and_validation():
     assert blocks[0].shape == (3, 1)
     assert blocks[1].shape == (3, 3)
     assert np.shares_memory(blocks[0], X)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="class sizes sum to 5 but X has 4 columns"):
         split_blocks(X, [2, 3])
+    for sizes in ([-1, 5], [0, 4], [2.9, 1.1]):
+        with pytest.raises(DatasetError, match="size of class 1 must be an integer >= 1"):
+            split_blocks(X, sizes)

@@ -112,18 +112,20 @@ def test_fit_crc_rejects_bad_lambda():
 
 def test_fit_procrc_gamma_zero_reduces_to_crc():
     rng = np.random.default_rng(4)
-    X = rng.standard_normal((10, 8))
-    crc = fit_crc(X, 0.001)
-    pro = fit_procrc(X, [3, 5], 0.001, 0.0)
-    assert np.abs(pro.T - crc.P).max() <= 1e-10
+    for m in (10, 6):
+        X = rng.standard_normal((m, 8))
+        crc = fit_crc(X, 0.001)
+        pro = fit_procrc(X, [3, 5], 0.001, 0.0)
+        assert np.array_equal(pro.T, crc.P)
 
 
 def test_fit_procrc_single_class_reduces_to_crc():
     rng = np.random.default_rng(5)
-    X = rng.standard_normal((9, 6))
-    crc = fit_crc(X, 0.01)
-    pro = fit_procrc(X, [6], 0.01, 0.7)
-    assert np.abs(pro.T - crc.P).max() <= 1e-10
+    for m in (9, 4):
+        X = rng.standard_normal((m, 6))
+        crc = fit_crc(X, 0.01)
+        pro = fit_procrc(X, [6], 0.01, 0.7)
+        assert np.array_equal(pro.T, crc.P)
 
 
 def test_fit_procrc_stationarity():
@@ -165,15 +167,19 @@ def test_procrc_gradient_matches_finite_differences():
 
 
 def test_fit_procrc_validation_errors():
-    X = np.eye(4)
-    with pytest.raises(DatasetError):
-        fit_procrc(X, [4, 0], 0.001, 0.5)
-    with pytest.raises(ParameterError):
-        fit_procrc(X, [2, 2], 0.0, 0.5)
-    with pytest.raises(ParameterError):
-        fit_procrc(X, [2, 2], 0.001, -0.1)
-    with pytest.raises(DimensionError):
-        fit_procrc(X, [2, 3], 0.001, 0.5)
+    rng = np.random.default_rng(23)
+    for X in (np.eye(4), unit_columns(rng, 3, 4)):  # the n x n and the Woodbury path
+        for sizes in ([4, 0], [-1, 5], [0, 4], [True, 3]):
+            with pytest.raises(DatasetError, match="size of class [12] must be an integer >= 1"):
+                fit_procrc(X, sizes, 0.001, 0.5)
+        with pytest.raises(DatasetError, match=r"size of class 1 must be an integer >= 1, got 2\.9"):
+            fit_procrc(X, [2.9, 1.9], 0.001, 0.5)
+        with pytest.raises(ParameterError):
+            fit_procrc(X, [2, 2], 0.0, 0.5)
+        with pytest.raises(ParameterError):
+            fit_procrc(X, [2, 2], 0.001, -0.1)
+        with pytest.raises(DimensionError, match="class sizes sum to 5 but X has 4 columns"):
+            fit_procrc(X, [2, 3], 0.001, 0.5)
 
 
 def test_build_gram_sum_two_classes_keeps_diagonal_blocks():
@@ -207,6 +213,60 @@ def test_build_gram_sum_size_mismatch():
         build_gram_sum(np.eye(4), [2, 3])
     with pytest.raises(DimensionError):
         build_gram_sum(np.ones((2, 3)), [2])
+    for sizes in ([-1, 5], [0, 4], [2.9, 1.1], [2.0, 2.0]):
+        with pytest.raises(DatasetError, match="size of class 1 must be an integer >= 1"):
+            build_gram_sum(np.eye(4), sizes)
+    assert np.array_equal(build_gram_sum(np.eye(4), [np.int64(1), 3]), build_gram_sum(np.eye(4), [1, 3]))
+
+
+DENSE_CASES = {
+    # name: (class sizes of the n atoms, gamma, whether the last atom copies the first)
+    "C1": (lambda n: [n], 0.5, False),
+    "C2": (lambda n: [n // 2, n - n // 2], 0.5, False),
+    "gamma0": (lambda n: [4, n - 4], 0.0, False),
+    "unequal": (lambda n: [2, n - 7, 5], 1.5, False),
+    "duplicate": (lambda n: [n // 2, n - n // 2], 0.5, True),
+}
+
+
+@pytest.mark.parametrize("m, n", [(12, 30), (30, 12), (15, 15)], ids=["m<n", "m>n", "m=n"])
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_operators_match_an_n_by_n_solve(m, n, case):
+    sizes_of, gamma, duplicate = DENSE_CASES[case]
+    sizes, lam = sizes_of(n), 0.001
+    rng = np.random.default_rng(21)
+    X = unit_columns(rng, m, n)
+    if duplicate:
+        X[:, -1] = X[:, 0]
+    G = X.T @ X
+    ridge = G + lam * np.eye(n)
+    crc = np.linalg.solve(ridge, X.T)
+    pro = np.linalg.solve(ridge + (gamma / len(sizes)) * naive_gram_sum(G, sizes), X.T)
+    for got, ref in ((fit_crc(X, lam).P, crc), (fit_procrc(X, sizes, lam, gamma).T, pro)):
+        assert got.shape == (n, m)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_dense_fits_below_n_features_solve_m_by_m_and_build_no_gram(monkeypatch):
+    from rcls import linalg
+
+    rng = np.random.default_rng(22)
+    grams, solves = [], []
+    gram, spd_solve = linalg.gram, coders.spd_solve
+    monkeypatch.setattr(linalg, "gram", lambda X: grams.append(X.shape) or gram(X))
+    monkeypatch.setattr(coders, "spd_solve", lambda A, B: solves.append(A.shape) or spd_solve(A, B))
+    X = unit_columns(rng, 8, 20)
+    fit_crc(X, 0.01)
+    fit_procrc(X, [6, 9, 5], 0.01, 0.5)  # one solve per class block, then one m x m
+    fit_procrc(X, [20], 0.01, 0.5)  # C = 1 is the ridge coder
+    assert grams == []
+    assert solves == [(8, 8), (6, 6), (9, 9), (5, 5), (8, 8), (8, 8)]
+    grams.clear()
+    solves.clear()
+    X = unit_columns(rng, 20, 8)
+    fit_crc(X, 0.01)
+    fit_procrc(X, [3, 5], 0.01, 0.5)
+    assert grams == [(20, 8), (20, 8)] and solves == [(8, 8), (8, 8)]
 
 
 def test_omp_canonical_single_atom():

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -147,3 +150,11 @@ def test_dictionary_lipschitz_is_computed_once_on_first_use(monkeypatch):
     assert D.lipschitz == 18.0  # 2 * lambda_max(diag(1, 4, 9))
     assert D.lipschitz == 18.0
     assert calls == [(3, 3)]
+
+
+def test_importing_rcls_does_not_load_scipy():
+    # scipy's LAPACK wrappers are loaded by the first SPD solve, not on import
+    subprocess.run(
+        [sys.executable, "-c", "import rcls, sys; assert 'scipy' not in sys.modules"],
+        check=True,
+    )
