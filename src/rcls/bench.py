@@ -254,10 +254,11 @@ def fit_method(
 
     The train columns must be unit-normalized and grouped by class (the
     order produced by split + take_columns). One Dictionary of the train
-    columns, checked once, serves every stage. Its Gram matrix is built
-    here for the sparse coders (``src``, ``sa_*``), so coding a sample
-    builds and checks nothing; the dense fits read it only when there are
-    no more train columns than features (m >= n).
+    columns, checked once, serves every stage. What a sparse coder reads
+    of it is built here, so coding a sample builds and checks nothing: the
+    Gram matrix for OMP (``sa_*``) and the step bound for ``src``. The
+    dense fits and the step bound read the Gram matrix only when there
+    are no more train columns than features (m >= n).
     """
     if method not in METHODS:
         raise ConfigError(
@@ -274,7 +275,7 @@ def fit_method(
     blocks = split_blocks(train.X, sizes)
     D = Dictionary(train.X)
     if method == "src":
-        D.lipschitz  # G and the l1 step bound are part of the fit, not of a sample
+        D.lipschitz  # the l1 step bound is part of the fit, not of a sample
         def coder(Y):
             return _l1_columns(D, Y, epsilon, DEFAULT_MAX_ITER)[0]
 

@@ -41,6 +41,8 @@ DEPENDENT_ATOM_TOL = 1e-10
 # ``_l1_columns`` hold at a time; wider batches are coded in chunks of
 # columns.
 CHUNK_BYTES = 8 << 20
+# Rows of every GEMM of the l1 solver (see ``_row_products``).
+GEMM_ROWS = 16
 
 
 def _project(M, Y):
@@ -199,8 +201,9 @@ def fit_procrc(X, class_sizes, lam, gamma):
     return ProCrcProjector(T=spd_solve(K, W.T).T)
 
 
-def _check_unit_norms(G):
-    norms = np.sqrt(np.diag(G))
+def _check_unit_norms(norms):
+    """Raise NormalizationError unless every column norm is 1 within
+    ``UNIT_NORM_TOL``."""
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
     if bad.size:
         raise NormalizationError(
@@ -254,7 +257,7 @@ def _omp_columns(D, Y, k, residual_tol):
     """
     X, G = D.X, D.G
     m, n = X.shape
-    _check_unit_norms(G)
+    _check_unit_norms(np.sqrt(np.diag(G)))
     check_sparsity(k, m, n)
     check_param("residual_tol", residual_tol, zero_ok=True)
     # per column: the G[S, :] and X[:, S]^T panels, the inverse factor and
@@ -385,13 +388,15 @@ def _l1_columns(D, Y, epsilon, max_iter):
     Dictionary D: the codes (n x N) and the iterations each column ran.
 
     The columns are shrunk in lockstep, in chunks whose state fits
-    ``CHUNK_BYTES``; a column's code does not depend on the other columns.
-    ``epsilon``, ``max_iter`` and the unit norms are checked once, and each
-    column that misses ``epsilon`` issues one ConvergenceWarning naming it.
+    ``CHUNK_BYTES``; a column's code and iteration count are bitwise the
+    same whatever the other columns, their order or the chunks.
+    ``epsilon``, ``max_iter`` and the unit norms (read from X, so that no
+    n x n matrix is built) are checked once, and each column that misses
+    ``epsilon`` issues one ConvergenceWarning naming it.
     """
     X = D.X
     m, n = X.shape
-    _check_unit_norms(D.G)
+    _check_unit_norms(np.sqrt(np.einsum("mn,mn->n", X, X)))
     check_param("epsilon", epsilon)
     check_integer("max_iter", max_iter, 1)
     step = 1.0 / D.lipschitz
@@ -426,26 +431,29 @@ def _shrink(X, Y, epsilon, max_iter, step):
     ``cols[r]``; a column that is done is recorded and its rows dropped, so
     none steps past its own stop.
 
-    The products are one matrix-vector product per live column, not a
-    GEMM, so a column's arithmetic is the same whatever the batch: a column
-    that cannot reach ``epsilon`` picks its best iterate among residuals
-    that differ by rounding alone, and a GEMM rounds differently per batch.
+    Every product (X a - y and X^T of that per step, the stage-end
+    residuals and the first X^T y) is a ``_row_products`` GEMM over the
+    live columns, and a norm is a sum over one row. So a column's
+    arithmetic is the same whatever the batch. This matters for a column
+    that cannot reach ``epsilon``: late in the continuation its stage
+    residuals differ by rounding alone, and it picks its best iterate
+    among them.
     """
     XT = X.T
     cols = np.arange(Y.shape[1])
-    Yr = np.ascontiguousarray(Y.T)[:, :, None]  # one sample per m x 1 matrix
+    Yr = np.ascontiguousarray(Y.T)  # one sample per row
     A = np.zeros((len(cols), X.shape[1]))
     best = A.copy()
-    best_res = _norms(Yr)
-    tau = np.abs(np.matmul(XT, Yr)).max(axis=1)[:, 0]
+    best_res = np.sqrt(np.einsum("rm,rm->r", Yr, Yr))
+    tau = np.abs(_row_products(Yr, X)).max(axis=1)
     inner = np.zeros(len(cols), dtype=np.intp)
     codes = np.empty_like(A)
     iterations = np.empty(len(cols), dtype=np.intp)
     grad_step = 2.0 * step
     for it in range(1, max_iter + 1):
-        R = np.matmul(X, A[:, :, None])
+        R = _row_products(A, XT)
         R -= Yr
-        new = np.matmul(XT, R)[:, :, 0]
+        new = _row_products(R, X)
         new *= grad_step
         np.subtract(A, new, out=new)
         t = (step * tau)[:, None]
@@ -461,7 +469,8 @@ def _shrink(X, Y, epsilon, max_iter, step):
         if not end.any():
             continue
         e = np.flatnonzero(end)
-        res = _norms(Yr[e] - np.matmul(X, A[e, :, None]))
+        R = Yr[e] - _row_products(A[e], XT)
+        res = np.sqrt(np.einsum("rm,rm->r", R, R))
         better = res < best_res[e]
         best[e[better]] = A[e[better]]
         best_res[e[better]] = res[better]
@@ -483,7 +492,22 @@ def _shrink(X, Y, epsilon, max_iter, step):
     return codes.T, iterations, list(zip(cols.tolist(), best_res.tolist()))
 
 
-def _norms(R):
-    """Euclidean norms of a stack of m x 1 matrices, each as one dot
-    product."""
-    return np.sqrt(np.matmul(R.transpose(0, 2, 1), R)[:, 0, 0])
+def _row_products(A, B):
+    """``A @ B`` for the rows of A (w x p, C order), computed in groups of
+    exactly ``GEMM_ROWS`` rows with the last group padded with zero rows.
+
+    Every BLAS call is then one GEMM of one shape, so row i of the result
+    does not depend on w or on the other rows of A. A single GEMM over all
+    w rows would not do: OpenBLAS picks its kernel by the product's size,
+    and the kernels round differently.
+    """
+    w = A.shape[0]
+    out = np.empty((-(-w // GEMM_ROWS) * GEMM_ROWS, B.shape[1]))
+    full = w - w % GEMM_ROWS
+    for g in range(0, full, GEMM_ROWS):
+        np.matmul(A[g:g + GEMM_ROWS], B, out=out[g:g + GEMM_ROWS])
+    if full < w:
+        pad = np.zeros((GEMM_ROWS, A.shape[1]))
+        pad[:w - full] = A[full:]
+        np.matmul(pad, B, out=out[full:])
+    return out[:w]

@@ -39,14 +39,24 @@ def as_mat(a, name="matrix"):
 
     Rejects empty shapes and non-finite entries.
     """
+    m = _as_2d(a, name)
+    _check_finite(m, name)
+    return m
+
+
+def _as_2d(a, name):
+    """``as_mat`` without its finiteness pass."""
     m = np.asfortranarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionError(f"{name} must be nonempty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DataError(f"{name} contains non-finite entries")
     return m
+
+
+def _check_finite(a, name):
+    if not np.isfinite(a).all():
+        raise DataError(f"{name} contains non-finite entries")
 
 
 def as_vec(a, name="vector"):
@@ -146,25 +156,33 @@ def spd_solve(A, B):
 
     Uses a Cholesky factorization (never an explicit inverse) and verifies
     the residual ||A S - B||_F <= SOLVE_RTOL * ||B||_F, applying one step of
-    iterative refinement if the first solve falls short. ``B`` is a matrix.
+    iterative refinement if the first solve falls short; a residual that
+    is not finite fails the check. ``B`` is a matrix. The operands are
+    scanned for non-finite entries (DataError) only when the solve fails,
+    since a non-finite entry makes it fail.
     """
     from scipy.linalg import lapack
 
-    A = as_mat(A, "A")
+    A = _as_2d(A, "A")
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
-    B = as_mat(B, "B")
+    B = _as_2d(B, "B")
     if B.shape[0] != A.shape[0]:
         raise DimensionError(
             f"A has {A.shape[0]} rows but B has {B.shape[0]}"
         )
 
+    def fail(error):
+        _check_finite(A, "A")
+        _check_finite(B, "B")
+        raise error
+
     c, info = lapack.dpotrf(A, lower=1)
     if info > 0:
-        raise SingularMatrixError(
+        fail(SingularMatrixError(
             f"matrix is not positive definite: pivot {info - 1} failed",
             pivot=info - 1,
-        )
+        ))
     if info < 0:
         raise SingularMatrixError(f"dpotrf: illegal argument {-info}")
 
@@ -172,27 +190,35 @@ def spd_solve(A, B):
     if info != 0:
         raise SingularMatrixError(f"dpotrs failed with info={info}")
 
-    norm_b = np.linalg.norm(B)
-    resid = B - A @ S
-    if np.linalg.norm(resid) > SOLVE_RTOL * norm_b:
-        dS, info = lapack.dpotrs(c, resid, lower=1)
-        if info == 0:
-            S = S + dS
-            resid = B - A @ S
-        if np.linalg.norm(resid) > SOLVE_RTOL * norm_b:
-            raise NumericalError(
-                "SPD solve residual exceeds tolerance after refinement "
-                f"({np.linalg.norm(resid):.3e} > {SOLVE_RTOL:.0e} * {norm_b:.3e})"
-            )
+    # overflow and NaN show as a residual that fails the check, not as
+    # RuntimeWarnings; the residual must be finite also when ||B|| is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_b = np.linalg.norm(B)
+        bound = SOLVE_RTOL * norm_b
+        resid = B - A @ S
+        norm = np.linalg.norm(resid)
+        if not (np.isfinite(norm) and norm <= bound):
+            dS, info = lapack.dpotrs(c, resid, lower=1)
+            if info == 0:
+                S = S + dS
+                resid = B - A @ S
+            norm = np.linalg.norm(resid)
+            if not (np.isfinite(norm) and norm <= bound):
+                fail(NumericalError(
+                    "SPD solve residual exceeds tolerance after refinement "
+                    f"({norm:.3e} > {SOLVE_RTOL:.0e} * {norm_b:.3e})"
+                ))
     return np.asfortranarray(S)
 
 
 class Dictionary:
     """A dictionary X (columns are atoms) checked once, with what coding
     needs from it alone, each computed on first use: the Gram matrix
-    ``G = gram(X)``, which the sparse coders and the n x n (m >= n) dense
-    fits read, and the l1 step bound ``lipschitz`` = 2 * lambda_max(G).
-    ``X`` and ``G`` are read-only; the caller's array stays writeable."""
+    ``G = gram(X)``, which OMP and the n x n (m >= n) dense fits read, and
+    the l1 step bound ``lipschitz`` = 2 * lambda_max(X^T X). lambda_max is
+    taken from the smaller of X X^T (m x m) and G, which share it, so with
+    m < n the bound builds no n x n matrix. ``X`` and ``G`` are read-only;
+    the caller's array stays writeable."""
 
     def __init__(self, X):
         self.X = _frozen_array(as_mat(X, "X"))
@@ -203,7 +229,9 @@ class Dictionary:
 
     @functools.cached_property
     def lipschitz(self):
-        return 2.0 * float(np.linalg.eigvalsh(self.G)[-1])
+        m, n = self.X.shape
+        small = self.X @ self.X.T if m < n else self.G  # X @ X.T is one syrk
+        return 2.0 * float(np.linalg.eigvalsh(small)[-1])
 
 
 def as_dictionary(X):

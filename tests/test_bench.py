@@ -261,10 +261,11 @@ def test_only_the_sparse_coders_build_the_gram_matrix(method, monkeypatch):
     monkeypatch.setattr(linalg, "gram", lambda X: calls.append(X.shape) or gram(X))
     train = grouped_train(NOISY, per_class_train=5)  # 10-dimensional samples, 20 atoms
     state = fit_method(method, train, k=4)
-    sparse = method == "src" or method.startswith("sa_")
-    assert calls == ([(train.m, train.n)] if sparse else [])
+    # with m < n, src's step bound and unit-norm check read X, not G
+    pursuit = method.startswith("sa_")
+    assert calls == ([(train.m, train.n)] if pursuit else [])
     state.compute_code(train.X[:, 0])
-    assert len(calls) == sparse
+    assert len(calls) == pursuit
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -280,7 +281,8 @@ def test_only_src_fit_computes_the_lipschitz_bound(method, monkeypatch):
     train = grouped_train(NOISY, per_class_train=5)
     state = fit_method(method, train, k=4)
     state.compute_code(train.X[:, 0])
-    assert calls == ([(train.n, train.n)] if method == "src" else [])
+    # m < n: lambda_max comes from the m x m X X^T
+    assert calls == ([(train.m, train.m)] if method == "src" else [])
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan"), float("inf")])

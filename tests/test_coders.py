@@ -16,6 +16,7 @@ from rcls.coders import (
     l1_solve,
     omp,
 )
+from rcls.data import SynthSpec, normalize_columns, synth
 from rcls.errors import (
     ConvergenceWarning,
     DatasetError,
@@ -724,21 +725,49 @@ def test_l1_solve_validation():
                           l1_solve(X, np.ones(3), 0.05, max_iter=50))
 
 
-def ista_oracle(X, y, epsilon, max_iter):
-    """Oracle: the per-sample shrinkage loop, one sample at a time, as
-    ``l1_solve`` ran it before it coded batches. Returns the code, the
-    iterations run, how each stage ended ("delta", "cap" or "budget") and
-    whether the residual reached epsilon."""
-    step = 1.0 / (2.0 * float(np.linalg.eigvalsh(X.T @ X)[-1]))
-    alpha = np.zeros(X.shape[1])
-    best, best_res = alpha, float(np.linalg.norm(y))
-    tau = 0.5 * 2.0 * float(np.max(np.abs(X.T @ y)))
+def padded_row(v, B):
+    """``v @ B`` as row 0 of a ``GEMM_ROWS``-row GEMM whose other rows are
+    zero."""
+    P = np.zeros((coders.GEMM_ROWS, v.shape[0]))
+    P[0] = v
+    return (P @ B)[0]
+
+
+def ista_oracle(X, y, epsilon, max_iter, fixed_shape=True):
+    """Oracle: the per-sample shrinkage loop, one sample at a time.
+    Returns the code, the iterations run, how each stage ended ("delta",
+    "cap" or "budget") and whether the residual reached epsilon.
+
+    With ``fixed_shape`` each product is one row of a zero-padded
+    ``GEMM_ROWS``-row GEMM, each norm a row-wise einsum and lambda_max
+    comes from the smaller of X X^T and X^T X, the arithmetic
+    ``_l1_columns`` runs; without, the products are matrix-vector products
+    and lambda_max comes from X^T X, as ``l1_solve`` ran before it coded
+    batches."""
+    m, n = X.shape
+    if fixed_shape:
+        def Xa(a):
+            return padded_row(a, X.T)
+
+        def XTr(r):
+            return padded_row(r, X)
+
+        def norm(r):
+            return float(np.sqrt(np.einsum("rm,rm->r", r[None], r[None]))[0])
+
+        small = X @ X.T if m < n else X.T @ X
+    else:
+        Xa, XTr, norm, small = X.__matmul__, X.T.__matmul__, np.linalg.norm, X.T @ X
+    step = 1.0 / (2.0 * float(np.linalg.eigvalsh(small)[-1]))
+    alpha = np.zeros(n)
+    best, best_res = alpha, norm(y)
+    tau = float(np.max(np.abs(XTr(y))))
     left, stops = max_iter, []
     while left > 0:
         stop = "budget" if left <= 100 else "cap"
         for _ in range(min(100, left)):
             left -= 1
-            grad = 2.0 * (X.T @ (X @ alpha - y))
+            grad = 2.0 * XTr(Xa(alpha) - y)
             new = alpha - step * grad
             new = np.sign(new) * np.maximum(np.abs(new) - step * tau, 0.0)
             delta = float(np.max(np.abs(new - alpha)))
@@ -747,7 +776,7 @@ def ista_oracle(X, y, epsilon, max_iter):
                 stop = "delta"
                 break
         stops.append(stop)
-        res = float(np.linalg.norm(y - X @ alpha))
+        res = norm(y - Xa(alpha))
         if res < best_res:
             best, best_res = alpha, res
         if res <= epsilon:
@@ -842,6 +871,10 @@ def test_l1_columns_match_the_per_sample_oracle(case):
         code, its, stops, converged = ista_oracle(X, y, epsilon, max_iter)
         assert np.array_equal(A[:, j], code)
         assert iterations[j] == its
+        # the matrix-vector loop rounds differently, but stops alike
+        gemv_code, gemv_its, _, _ = ista_oracle(X, y, epsilon, max_iter, fixed_shape=False)
+        assert np.abs(code - gemv_code).max() <= 1e-9
+        assert its == gemv_its
         if not converged:
             missed.append(j)
         # each kind stops where it was built to
@@ -895,6 +928,39 @@ def test_l1_columns_do_not_depend_on_order_batch_or_chunks(case, data):
             if budget == 1:
                 assert widths == [1] * (N + len(batch))
             assert sum(widths) == N + len(batch)
+
+
+def test_l1_columns_do_not_depend_on_the_batch_at_a_realistic_shape(monkeypatch):
+    # m=50, n=200, as in the small_dict benchmark: above the size at which
+    # OpenBLAS leaves its small-matrix GEMM kernel, which the hypothesis
+    # shapes never reach
+    ds = normalize_columns(synth(SynthSpec(C=10, ambient_dim=50, subspace_dim=5, per_class=24,
+                                           noise_sigma=0.2, seed=3)))
+    train = (np.arange(240) % 24) < 20  # 20 train and 4 test samples per class
+    X, Y = ds.X[:, train], ds.X[:, ~train]
+    assert X.shape == (50, 200) and Y.shape == (50, 40)
+    D = Dictionary(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        alone = [_l1_columns(D, Y[:, [j]], 0.05, 2000) for j in range(40)]
+        order = np.random.default_rng(3).permutation(40)
+        runs = [_l1_columns(D, Y, 0.05, 2000), _l1_columns(D, Y[:, order], 0.05, 2000)]
+        monkeypatch.setattr(coders, "CHUNK_BYTES", 7 * 8 * (4 * 200 + 2 * 50))
+        runs.append(_l1_columns(D, Y[:, order], 0.05, 2000))
+    for cols, (A, iterations) in zip((range(40), order, order), runs):
+        for c, j in enumerate(cols):
+            assert np.array_equal(A[:, c], alone[j][0][:, 0])
+            assert iterations[c] == alone[j][1][0]
+
+
+def test_row_products_do_not_depend_on_the_other_rows():
+    # the Yale-B shape, both products of a shrinkage step
+    rng = np.random.default_rng(23)
+    X = np.asfortranarray(unit_columns(rng, 504, 1216))
+    for rows, B in ((rng.standard_normal((40, 1216)), X.T), (rng.standard_normal((40, 504)), X)):
+        alone = np.vstack([coders._row_products(rows[[i]], B) for i in range(40)])
+        for w in range(1, 41):
+            assert np.array_equal(coders._row_products(rows[:w], B), alone[:w])
 
 
 def test_l1_columns_warn_once_for_the_column_that_misses_epsilon():

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from rcls import linalg
 from rcls.errors import DataError, DimensionError, NumericalError, SingularMatrixError
 from rcls.linalg import Dictionary, as_dictionary, as_mat, as_vec, gram, spd_solve
 
@@ -110,6 +111,36 @@ def test_spd_solve_is_a_numerical_error():
         spd_solve(np.zeros((2, 2)), np.ones((2, 1)))
 
 
+def test_spd_solve_non_finite_solution_is_a_numerical_error():
+    # the solution overflows: its residual is NaN, which must fail the check
+    with pytest.raises(NumericalError, match="residual exceeds tolerance"):
+        spd_solve(1e-200 * np.eye(2), np.full((2, 1), 1e200))
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("A", (1, 1), np.nan), ("A", (0, 2), np.nan), ("A", (2, 0), np.inf),
+    ("B", (1, 1), np.nan), ("B", (2, 0), np.inf),
+])
+def test_spd_solve_rejects_non_finite_operands(name, index, value):
+    # dpotrf reads only A's lower triangle: a NaN above it fails the
+    # residual check instead
+    operands = {"A": np.eye(3) + 0.1, "B": np.ones((3, 2))}
+    operands[name][index] = value
+    with pytest.raises(DataError, match=f"{name} contains non-finite entries"):
+        spd_solve(operands["A"], operands["B"])
+
+
+def test_spd_solve_scans_for_non_finite_entries_only_when_it_fails(monkeypatch):
+    calls = []
+    check_finite = linalg._check_finite
+    monkeypatch.setattr(linalg, "_check_finite", lambda a, name: calls.append(name) or check_finite(a, name))
+    spd_solve(2.0 * np.eye(3), np.ones((3, 2)))
+    assert calls == []
+    with pytest.raises(SingularMatrixError):
+        spd_solve(-np.eye(3), np.ones((3, 2)))
+    assert calls == ["A", "B"]
+
+
 def test_spd_solve_shape_errors():
     with pytest.raises(DimensionError):
         spd_solve(np.ones((2, 3)), np.ones((2, 1)))
@@ -150,6 +181,21 @@ def test_dictionary_lipschitz_is_computed_once_on_first_use(monkeypatch):
     assert D.lipschitz == 18.0  # 2 * lambda_max(diag(1, 4, 9))
     assert D.lipschitz == 18.0
     assert calls == [(3, 3)]
+
+
+def test_dictionary_lipschitz_comes_from_the_smaller_gram(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    rng = np.random.default_rng(6)
+    for m, n in ((4, 9), (9, 4), (5, 5)):
+        X = rng.standard_normal((m, n))
+        D = Dictionary(X)
+        calls.clear()
+        exact = 2.0 * eigvalsh(X.T @ X)[-1]
+        assert abs(D.lipschitz - exact) <= 1e-13 * exact
+        assert calls == [(min(m, n), min(m, n))]
+        assert ("G" in vars(D)) == (m >= n)  # no n x n Gram when m < n
 
 
 def test_importing_rcls_does_not_load_scipy():
