@@ -57,8 +57,6 @@ from .data import (
     take_columns,
 )
 from .bench import (
-    ComparisonRow,
-    ComparisonTable,
     ExperimentConfig,
     ExperimentReport,
     compare_methods,

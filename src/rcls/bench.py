@@ -3,8 +3,9 @@
 Each trial draws a fresh train/test split (seed = base_seed + t), normalizes
 both partitions, fits the configured method on the train columns and
 classifies every test sample. Accuracies are aggregated as mean and sample
-standard deviation. Comparisons run several methods over identical splits so
-rows differ by method only.
+standard deviation. A comparison is one ExperimentReport per method: the
+trials run outermost, and each trial's split serves every method, so the
+reports differ by method only. A single run is the one-method case.
 
 Wall-clock stage times are collected for information; they are excluded from
 report equality so that repeated runs of the same config compare equal.
@@ -107,7 +108,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-trial accuracies (percent) plus their mean and sample std.
+    """Per-trial accuracies (percent) plus their mean and sample std, for
+    ``config``; trial t used the split of seed ``config.base_seed + t``.
 
     ``stage_seconds`` holds wall-clock totals for the fit/code/classify
     stages; it is informational and excluded from equality comparisons.
@@ -116,7 +118,6 @@ class ExperimentReport:
     accuracies: tuple
     mean: float
     std: float
-    trial_seeds: tuple
     config: ExperimentConfig
     stage_seconds: dict = field(compare=False)
 
@@ -315,13 +316,14 @@ def _annotate(err, t, seed):
 
 
 def run_experiment(cfg):
-    """Run the configured repeated-trial evaluation.
+    """Run the configured repeated-trial evaluation: the one-row case of
+    ``compare_methods``.
 
     Fully deterministic given the config: trial t uses seed base_seed + t
     for its split, and a dataset-level random projection (when configured)
     uses base_seed. Returns an ExperimentReport.
     """
-    return _run_trials(_load_projected(cfg), cfg)
+    return _run_trials(_load_projected(cfg), [cfg])[0]
 
 
 def _load_projected(cfg):
@@ -331,31 +333,36 @@ def _load_projected(cfg):
     return ds
 
 
-def _run_trials(ds, cfg):
-    seeds = tuple(cfg.base_seed + t for t in range(cfg.trials))
-    stage = {"fit": 0.0, "code": 0.0, "classify": 0.0}
-    accuracies = []
-    for t, seed in enumerate(seeds):
+def _run_trials(ds, cfgs):
+    """One ExperimentReport per config, the trials outermost: each trial
+    is split, selected and normalized once, and every config is fitted,
+    coded and scored on it. The configs share per_class_train, trials and
+    base_seed."""
+    first = cfgs[0]
+    stages = [{"fit": 0.0, "code": 0.0, "classify": 0.0} for _ in cfgs]
+    accuracies = [[] for _ in cfgs]
+    for t in range(first.trials):
+        seed = first.base_seed + t
         try:
-            accuracies.append(_run_trial(ds, cfg, seed, stage))
+            sp = split(ds, first.per_class_train, seed)
+            train = normalize_columns(take_columns(ds, sp.train_indices))
+            test = normalize_columns(take_columns(ds, sp.test_indices))
+            for cfg, stage, acc in zip(cfgs, stages, accuracies):
+                acc.append(_run_trial(train, test, cfg, stage))
         except RclsError as err:
             raise _annotate(err, t, seed)
-    mean, std = aggregate_accuracy(accuracies)
-    return ExperimentReport(
-        accuracies=tuple(accuracies),
-        mean=mean,
-        std=std,
-        trial_seeds=seeds,
-        config=cfg,
-        stage_seconds=stage,
-    )
+    reports = []
+    for cfg, stage, acc in zip(cfgs, stages, accuracies):
+        mean, std = aggregate_accuracy(acc)
+        reports.append(ExperimentReport(
+            accuracies=tuple(acc), mean=mean, std=std, config=cfg, stage_seconds=stage,
+        ))
+    return tuple(reports)
 
 
-def _run_trial(ds, cfg, seed, stage):
-    sp = split(ds, cfg.per_class_train, seed)
-    train = normalize_columns(take_columns(ds, sp.train_indices))
-    test = normalize_columns(take_columns(ds, sp.test_indices))
-
+def _run_trial(train, test, cfg, stage):
+    """Accuracy (percent) of ``cfg``'s method on one trial's normalized
+    partitions; the fit, code and classify times add to ``stage``."""
     t0 = time.perf_counter()
     state = fit_method(
         cfg.method, train,
@@ -375,36 +382,15 @@ def _run_trial(ds, cfg, seed, stage):
     return 100.0 * correct / test.n
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    method: str
-    mean: float
-    std: float
-    trials: int
-    base_seed: int
-    err_reduction_pct: float
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """One row per compared method, identical splits throughout.
-
-    ``err_reduction_pct`` is the reduction of the error rate relative to the
-    first (baseline) row: 100 * (err_base - err) / err_base; nan when the
-    baseline error is zero.
-    """
-
-    rows: tuple
-    reports: tuple
-
-
 def compare_methods(cfgs):
-    """Run several configs over shared splits and tabulate them.
+    """Run several configs over shared splits: one ExperimentReport per
+    config, in order, each equal to ``run_experiment``'s for that config.
 
     All configs must agree on everything except the method (same dataset,
     split sizes, trial count, seeds, projection); the splits are then
     identical across rows and differences are attributable to the method.
-    The dataset is loaded once for the whole table.
+    The dataset is loaded once and each trial split once for the whole
+    table, so the table fails at the first trial where any row fails.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -418,27 +404,17 @@ def compare_methods(cfgs):
                     f"configs disagree on {name}: "
                     f"{getattr(first, name)!r} vs {getattr(cfg, name)!r}"
                 )
-    ds = _load_projected(first)
-    reports = tuple(_run_trials(ds, cfg) for cfg in cfgs)
+    return _run_trials(_load_projected(first), cfgs)
+
+
+def error_reductions(reports):
+    """Error-rate reduction (percent) of each report relative to the first
+    (baseline): 100 * (err_base - err) / err_base, with err = 100 - mean;
+    nan for every report when the baseline error is zero."""
     err_base = 100.0 - reports[0].mean
-    rows = []
-    for rep in reports:
-        err = 100.0 - rep.mean
-        if err_base > 0.0:
-            reduction = 100.0 * (err_base - err) / err_base
-        else:
-            reduction = float("nan")
-        rows.append(
-            ComparisonRow(
-                method=rep.config.method,
-                mean=rep.mean,
-                std=rep.std,
-                trials=rep.config.trials,
-                base_seed=rep.config.base_seed,
-                err_reduction_pct=reduction,
-            )
-        )
-    return ComparisonTable(rows=tuple(rows), reports=reports)
+    if err_base > 0.0:
+        return [100.0 * (err_base - (100.0 - rep.mean)) / err_base for rep in reports]
+    return [float("nan")] * len(reports)
 
 
 def describe_source(source):
@@ -473,25 +449,27 @@ def report_text(report):
     ]) + "\n"
 
 
-def comparison_csv(table):
+def comparison_csv(reports):
     lines = ["method,mean,std,trials,base_seed,err_reduction_pct"]
-    for r in table.rows:
+    for rep, reduction in zip(reports, error_reductions(reports)):
+        cfg = rep.config
         lines.append(
-            f"{r.method},{r.mean!r},{r.std!r},{r.trials},{r.base_seed},"
-            f"{r.err_reduction_pct!r}"
+            f"{cfg.method},{rep.mean!r},{rep.std!r},{cfg.trials},{cfg.base_seed},"
+            f"{reduction!r}"
         )
     return "\n".join(lines) + "\n"
 
 
-def comparison_text(table):
+def comparison_text(reports):
     lines = [
         f"{'method':<12} {'mean':>8} {'std':>8} {'trials':>6} {'seed':>6} "
         f"{'err.red.%':>10}"
     ]
-    for r in table.rows:
+    for rep, reduction in zip(reports, error_reductions(reports)):
+        cfg = rep.config
         lines.append(
-            f"{r.method:<12} {r.mean:>8.2f} {r.std:>8.2f} {r.trials:>6d} "
-            f"{r.base_seed:>6d} {r.err_reduction_pct:>10.2f}"
+            f"{cfg.method:<12} {rep.mean:>8.2f} {rep.std:>8.2f} {cfg.trials:>6d} "
+            f"{cfg.base_seed:>6d} {reduction:>10.2f}"
         )
     return "\n".join(lines) + "\n"
 

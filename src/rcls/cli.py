@@ -173,13 +173,13 @@ def _cmd_bench(args):
 
 def _cmd_compare(args):
     cfgs = load_compare_configs(args.config)
-    table = compare_methods(cfgs)
-    sys.stdout.write(comparison_text(table))
+    reports = compare_methods(cfgs)
+    sys.stdout.write(comparison_text(reports))
     if args.out_csv:
-        atomic_write_bytes(args.out_csv, comparison_csv(table).encode("utf-8"))
+        atomic_write_bytes(args.out_csv, comparison_csv(reports).encode("utf-8"))
     if args.out_text:
-        atomic_write_bytes(args.out_text, comparison_text(table).encode("utf-8"))
-    for rep in table.reports:
+        atomic_write_bytes(args.out_text, comparison_text(reports).encode("utf-8"))
+    for rep in reports:
         print(
             f"# timing {rep.config.method} {stage_summary(rep.stage_seconds)}",
             file=sys.stderr,

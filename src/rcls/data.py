@@ -138,19 +138,22 @@ def atomic_write_bytes(path, payload):
 def load_csv(path):
     """Load a dataset from CSV: one row per sample, integer label first.
 
-    A header row is detected by a non-numeric first field. Labels are
+    The file may start with a UTF-8 byte-order mark. A header is the first
+    non-blank row when its first field is not a number. Labels are
     remapped to dense 1..C in first-appearance order; the original values
     are recorded in ``label_mapping``.
     """
     rows = []
     raw_labels = []
     n_features = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    first = True
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if lineno == 1:
+            if first:
+                first = False
                 try:
                     float(row[0])
                 except ValueError:
@@ -192,20 +195,14 @@ def load_csv(path):
             rows.append(feats)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    mapping = []
-    dense = []
-    seen = {}
-    for lab in raw_labels:
-        if lab not in seen:
-            seen[lab] = len(mapping) + 1
-            mapping.append(lab)
-        dense.append(seen[lab])
+    mapping = tuple(dict.fromkeys(raw_labels))
+    dense = {lab: c for c, lab in enumerate(mapping, start=1)}
     X = np.asfortranarray(np.array(rows, dtype=np.float64).T)
     return Dataset(
         X=X,
-        labels=np.array(dense, dtype=np.int64),
+        labels=np.array([dense[lab] for lab in raw_labels], dtype=np.int64),
         C=len(mapping),
-        label_mapping=tuple(mapping),
+        label_mapping=mapping,
     )
 
 

@@ -463,8 +463,8 @@ def test_a9_face_benchmark_if_data_present():
         )
         for m in ("crc", "procrc", "sa_procrc")
     ]
-    table = compare_methods(cfgs)
-    means = {row.method: row.mean for row in table.rows}
+    reports = compare_methods(cfgs)
+    means = {rep.config.method: rep.mean for rep in reports}
     published = {"crc": 94.77, "procrc": 94.82, "sa_procrc": 95.64}
     for method, target in published.items():
         assert abs(means[method] - target) <= 2.0, (

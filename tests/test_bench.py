@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcls.bench import (
-    ComparisonTable,
     ExperimentConfig,
     ExperimentReport,
     METHODS,
@@ -450,15 +449,30 @@ def test_report_statistics_recompute():
     assert abs(rep.mean - arr.mean()) <= 1e-12
     assert abs(rep.std - arr.std(ddof=1)) <= 1e-12
     assert all(0.0 <= a <= 100.0 for a in rep.accuracies)
-    assert rep.trial_seeds == (0, 1, 2, 3)
+    assert len(rep.accuracies) == 4
 
 
-def test_trial_seeds_offset_by_base_seed():
-    cfg = ExperimentConfig(
-        dataset=NOISY, method="crc", per_class_train=5, trials=2, base_seed=17
-    )
-    rep = run_experiment(cfg)
-    assert rep.trial_seeds == (17, 18)
+def test_one_split_per_trial_for_a_table_or_a_run(monkeypatch):
+    seeds = []
+    real_split = bench.split
+
+    def recording_split(ds, per_class_train, seed):
+        seeds.append(seed)
+        return real_split(ds, per_class_train, seed)
+
+    monkeypatch.setattr(bench, "split", recording_split)
+    cfgs = [
+        ExperimentConfig(
+            dataset=NOISY, method=m, per_class_train=5, trials=3, base_seed=17, k=4
+        )
+        for m in METHODS
+    ]
+    reports = compare_methods(cfgs)
+    assert seeds == [17, 18, 19]
+    assert len(reports) == 5
+    seeds.clear()
+    run_experiment(cfgs[1])
+    assert seeds == [17, 18, 19]
 
 
 def test_single_trial_std_is_zero():
@@ -540,22 +554,22 @@ def test_compare_methods_loads_dataset_once(tmp_path, monkeypatch):
         )
         for m in ("crc", "sa_procrc")
     ]
-    table = compare_methods(cfgs)
+    reports = compare_methods(cfgs)
     assert len(calls) == 1
-    assert table.reports == tuple(run_experiment(cfg) for cfg in cfgs)
+    assert reports == tuple(run_experiment(cfg) for cfg in cfgs)
 
 
 def test_compare_methods_single_row():
     cfg = ExperimentConfig(dataset=NOISY, method="crc", per_class_train=5, trials=2)
-    table = compare_methods([cfg])
-    assert len(table.rows) == 1
-    assert table.rows[0].method == "crc"
+    reports = compare_methods([cfg])
+    assert len(reports) == 1
+    assert reports[0].config.method == "crc"
 
 
 def test_compare_duplicate_method_rows_identical():
     cfg = ExperimentConfig(dataset=NOISY, method="crc", per_class_train=5, trials=2)
-    table = compare_methods([cfg, cfg])
-    assert table.rows[0] == table.rows[1]
+    reports = compare_methods([cfg, cfg])
+    assert reports[0] == reports[1]
 
 
 def test_error_reduction_formula():
@@ -563,13 +577,14 @@ def test_error_reduction_formula():
         ExperimentConfig(dataset=NOISY, method=m, per_class_train=5, trials=3)
         for m in ("crc", "procrc")
     ]
-    table = compare_methods(cfgs)
-    err_base = 100.0 - table.rows[0].mean
+    reports = compare_methods(cfgs)
+    reductions = bench.error_reductions(reports)
+    err_base = 100.0 - reports[0].mean
     assert err_base > 0.0, "noisy baseline expected to make mistakes"
-    for row in table.rows:
-        expected = 100.0 * (err_base - (100.0 - row.mean)) / err_base
-        assert abs(row.err_reduction_pct - expected) <= 1e-12
-    assert table.rows[0].err_reduction_pct == 0.0
+    for rep, reduction in zip(reports, reductions):
+        expected = 100.0 * (err_base - (100.0 - rep.mean)) / err_base
+        assert abs(reduction - expected) <= 1e-12
+    assert reductions[0] == 0.0
 
 
 @pytest.mark.filterwarnings("ignore::rcls.errors.ConvergenceWarning")
@@ -581,17 +596,17 @@ def test_every_method_runs_end_to_end_with_one_or_two_classes(C):
         ExperimentConfig(dataset=spec, method=m, per_class_train=4, trials=2, k=4)
         for m in METHODS
     ]
-    table = compare_methods(cfgs)
-    assert table.reports == tuple(run_experiment(cfg) for cfg in cfgs)
+    reports = compare_methods(cfgs)
+    assert reports == tuple(run_experiment(cfg) for cfg in cfgs)
     if C == 1:
-        assert all(rep.accuracies == (100.0, 100.0) for rep in table.reports)
+        assert all(rep.accuracies == (100.0, 100.0) for rep in reports)
 
 
 def test_error_reduction_nan_when_baseline_perfect():
     cfg = ExperimentConfig(dataset=CLEAN, method="crc", per_class_train=4, trials=2)
-    table = compare_methods([cfg])
-    assert table.rows[0].mean == 100.0
-    assert math.isnan(table.rows[0].err_reduction_pct)
+    reports = compare_methods([cfg])
+    assert reports[0].mean == 100.0
+    assert math.isnan(bench.error_reductions(reports)[0])
 
 
 # ---------------------------------------------------------------- rendering
@@ -620,12 +635,12 @@ def test_report_text_contains_summary_line():
 
 def test_comparison_renderers():
     cfg = ExperimentConfig(dataset=NOISY, method="crc", per_class_train=5, trials=2)
-    table = compare_methods([cfg])
-    ctext = comparison_csv(table)
+    reports = compare_methods([cfg])
+    ctext = comparison_csv(reports)
     lines = ctext.strip().split("\n")
     assert lines[0] == "method,mean,std,trials,base_seed,err_reduction_pct"
     assert len(lines) == 2
-    pretty = comparison_text(table)
+    pretty = comparison_text(reports)
     assert pretty.startswith("method")
     assert "crc" in pretty
     assert stage_summary({"fit": 0.5}) == "fit=0.500s"

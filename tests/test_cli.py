@@ -183,11 +183,11 @@ def test_compare_every_method_with_one_or_two_classes(tmp_path, capsys, C):
     )
     assert cli.main(["compare", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
-    table = bench.compare_methods(bench.load_compare_configs(str(cfg_path)))
-    assert out == bench.comparison_text(table)
-    assert [r.method for r in table.rows] == list(bench.METHODS)
+    reports = bench.compare_methods(bench.load_compare_configs(str(cfg_path)))
+    assert out == bench.comparison_text(reports)
+    assert [r.config.method for r in reports] == list(bench.METHODS)
     if C == 1:
-        assert all(r.mean == 100.0 for r in table.rows)
+        assert all(r.mean == 100.0 for r in reports)
 
 
 def test_diag_writes_files(tmp_path, capsys):

@@ -115,6 +115,33 @@ def test_load_csv_skips_header_and_blank_lines(tmp_path):
     assert np.array_equal(ds.labels, [1, 2])
 
 
+def test_load_csv_byte_order_mark_keeps_the_first_sample(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1,0.5,0.1\n2,0.1,0.5\n1,0.4,0.2\n")
+    ds = load_csv(p)
+    assert ds.n == 3
+    assert np.array_equal(ds.labels, [1, 2, 1])
+    assert ds.label_mapping == (1, 2)
+    assert np.array_equal(ds.X[:, 0], [0.5, 0.1])
+
+
+def test_load_csv_header_after_blank_lines(tmp_path):
+    p = tmp_path / "late_hdr.csv"
+    p.write_text("\n\nlabel,f1,f2\n7,0.0,1.0\n3,2.0,3.0\n3,2.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(p)
+    assert exc.value.line == 6  # line numbers still count the blank lines
+    p.write_text("\n\nlabel,f1,f2\n7,0.0,1.0\n3,2.0,3.0\n")
+    ds = load_csv(p)
+    assert ds.n == 2
+    assert np.array_equal(ds.labels, [1, 2])
+    assert ds.label_mapping == (7, 3)
+    p.write_text("\nlabel,f1\nlabel,f1\n1,0.0\n")  # only one header
+    with pytest.raises(ParseError) as exc:
+        load_csv(p)
+    assert exc.value.line == 3
+
+
 def test_load_csv_ragged_row_names_line(tmp_path):
     p = tmp_path / "ragged.csv"
     p.write_text("label,f1,f2\n1,0.0,1.0\n2,2.0\n")
