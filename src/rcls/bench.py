@@ -17,13 +17,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .classify import (
     _decide_one,
     _pick_class,
     _winners,
     build_label_matrix,
+    classify_residual,
     fuse_coefficients,
     regularized_residual_scores,
     residual_scores,
@@ -55,10 +55,9 @@ from .errors import (
     ConfigError,
     DatasetError,
     DegenerateFusionError,
-    DimensionError,
     RclsError,
 )
-from .linalg import Dictionary, as_samples, check_integer, check_param
+from .linalg import Dictionary, as_sample, as_samples, check_integer, check_param
 
 log = logging.getLogger(__name__)
 
@@ -145,34 +144,22 @@ def aggregate_accuracy(accuracies):
     return mean, std
 
 
-def _column(y):
-    """One test sample as a one-column batch."""
-    y = np.asarray(y)
-    if y.ndim != 1:
-        raise DimensionError(f"y must be 1-D, got ndim={y.ndim}")
-    return y[:, None]
-
-
 class _FittedResidual:
     """A coder and a class-wise residual rule over the training blocks:
     l1 code with the plain rule (src), ridge projector with the regularized
     rule (crc), class-consistent projector with the plain rule (procrc).
 
-    ``coder`` maps test samples (columns) to codes (columns), ``rule`` to
-    C x N scores whose column minimum wins. ``compute_code`` and ``decide``
-    are the one-column case.
+    ``compute_codes``, the coder, checks the test samples in the columns of
+    Y once for the batch and maps them to codes (n x N), ``rule`` to C x N
+    scores whose column minimum wins. ``compute_code`` and ``decide`` are
+    the one-column case.
     """
 
     def __init__(self, method, coder, rule, blocks):
         self.method = method
-        self.coder = coder
+        self.compute_codes = coder
         self.rule = rule
         self.blocks = blocks
-
-    def compute_codes(self, Y):
-        """Codes (n x N) of the test samples in the columns of Y, which are
-        checked here, once for the batch."""
-        return self.coder(as_samples(Y, self.blocks[0].shape[0]))
 
     def decide_all(self, codes, Y):
         """Predicted classes (1-based) and exact-tie flags of the samples
@@ -182,7 +169,7 @@ class _FittedResidual:
         return winner + 1, tie
 
     def compute_code(self, y):
-        return self.compute_codes(_column(y))[:, 0]
+        return self.compute_codes(as_sample(y, self.blocks[0].shape[0]))[:, 0]
 
     def decide(self, code, y):
         return _decide_one(self.rule, self.blocks, y, code)
@@ -209,7 +196,7 @@ class FittedSa:
         self.blocks = blocks
 
     def compute_codes(self, Y):
-        """One SaCodes per test sample (column of Y, checked here)."""
+        """One SaCodes per test sample (column of Y, checked by each coder)."""
         Y = as_samples(Y, self.D.X.shape[0])
         dense = self.projector.code(Y)
         sparse = _omp_columns(self.D, Y, self.k, DEFAULT_RESIDUAL_TOL)
@@ -236,7 +223,7 @@ class FittedSa:
         )
 
     def compute_code(self, y):
-        return self.compute_codes(_column(y))[0]
+        return self.compute_codes(as_sample(y, self.D.X.shape[0]))[0]
 
     def decide(self, code, y):
         q = score(self.L, code.fused)
@@ -278,19 +265,21 @@ def fit_method(
     if method == "src":
         D.lipschitz  # the l1 step bound is part of the fit, not of a sample
         def coder(Y):
-            return _l1_columns(D, Y, epsilon, DEFAULT_MAX_ITER)[0]
+            return _l1_columns(D, as_samples(Y, train.m), epsilon, DEFAULT_MAX_ITER)[0]
 
         return _FittedResidual(method, coder, residual_scores, blocks)
     if method in ("crc", "sa_crc"):
         projector = fit_crc(D, lam)
     else:
         projector = fit_procrc(D, sizes, lam, gamma)
-    if method == "crc":
-        return _FittedResidual(
-            method, projector.code, regularized_residual_scores, blocks
-        )
-    if method == "procrc":
-        return _FittedResidual(method, projector.code, residual_scores, blocks)
+    if method in ("crc", "procrc"):
+        def coder(Y):
+            if np.ndim(Y) != 2:  # ``code`` would take a 1-D Y as one sample
+                as_samples(Y, train.m)  # raises: a batch is a matrix
+            return projector.code(Y)
+
+        rule = regularized_residual_scores if method == "crc" else residual_scores
+        return _FittedResidual(method, coder, rule, blocks)
     L = build_label_matrix(train.labels, train.C)
     D.G  # the pursuit reads G: build it with the fit, not with the first sample
     return FittedSa(method, projector, D, L, k, blocks)
@@ -515,7 +504,7 @@ def dump_diagnostics(state, y, out_dir):
     C = len(sizes)
     atom_classes = np.repeat(np.arange(1, C + 1), sizes)
     n = int(sum(sizes))
-    residuals = residual_scores(state.blocks, _column(y), resid_code[:, None])[:, 0]
+    residuals = classify_residual(state.blocks, y, resid_code).scores
 
     files = {
         "coefficients.csv": _diag_csv(range(n), atom_classes, coeff),
@@ -571,6 +560,8 @@ def _parse_synth(node, path):
 def _parse_doc(path):
     """The config mapping, and its keys other than ``synth`` and
     ``methods`` with ``synth`` read as the ``dataset`` SynthSpec."""
+    import yaml  # here, so that only reading a config loads PyYAML
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

@@ -16,7 +16,7 @@ from .errors import (
     DegenerateFusionError,
     DimensionError,
 )
-from .linalg import _frozen_array, as_labels, as_vec, class_slices
+from .linalg import _frozen_array, as_labels, as_sample, as_vec, class_slices
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,18 @@ def regularized_residual_scores(X_blocks, Y, A):
 
 def _decide_one(rule, X_blocks, y, alpha):
     """The decision of a batch residual rule for one sample y with code alpha."""
-    scores = rule(X_blocks, as_vec(y, "y")[:, None], as_vec(alpha, "alpha")[:, None])[:, 0]
+    if not len(X_blocks):
+        raise DimensionError("X_blocks must hold at least one class block")
+    Y = as_sample(y, np.shape(X_blocks[0])[0])
+    scores = rule(X_blocks, Y, as_vec(alpha, "alpha")[:, None])[:, 0]
     return _pick_class(scores, scores.min())
 
 
 def classify_residual(X_blocks, y, alpha):
     """Assign y to the class whose block reconstructs it best.
 
-    scores[i] = ||y - X_i alpha_i||_2, winner = argmin.
+    scores[i] = ||y - X_i alpha_i||_2, winner = argmin. ``y`` is checked
+    by ``as_sample``, so a bad sample raises what a coder raises for it.
     """
     return _decide_one(residual_scores, X_blocks, y, alpha)
 

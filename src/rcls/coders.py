@@ -21,7 +21,8 @@ from .linalg import (
     _frozen_array,
     as_dictionary,
     as_mat,
-    as_vec,
+    as_sample,
+    as_samples,
     check_integer,
     check_param,
     class_slices,
@@ -46,12 +47,11 @@ GEMM_ROWS = 16
 
 
 def _project(M, Y):
-    """``M @ Y`` for a solve operator ``M = (...)^-1 X^T`` of shape n x m
-    and a sample or a matrix of samples (columns): one GEMM per batch."""
-    Y = np.asarray(Y)
-    if Y.shape[0] != M.shape[1]:
-        raise DimensionError(f"y has length {Y.shape[0]}, X has {M.shape[1]} rows")
-    return M @ Y
+    """``M @ Y`` for a solve operator ``M = (...)^-1 X^T`` of shape n x m and
+    a sample (``as_sample``, a 1-D product) or samples (``as_samples``, a GEMM)."""
+    if np.ndim(Y) == 1:
+        return M @ as_sample(Y, M.shape[1])[:, 0]
+    return M @ as_samples(Y, M.shape[1])
 
 
 @dataclass(frozen=True)
@@ -236,15 +236,12 @@ def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL):
     pivot) is at most ``DEPENDENT_ATOM_TOL`` times its squared norm. So an
     atom and an exact copy of it are never both selected.
 
-    This is the one-column case of ``_omp_columns``, which codes many
-    samples at once. ``X`` is a matrix or, to build G = X^T X once for many
-    samples, a Dictionary.
+    This is ``as_sample`` and the one-column case of ``_omp_columns``, which
+    codes many samples at once. ``X`` is a matrix or, to build G = X^T X
+    once for many samples, a Dictionary.
     """
     D = as_dictionary(X)
-    y = as_vec(y, "y")
-    if y.shape[0] != D.X.shape[0]:
-        raise DimensionError(f"y has length {y.shape[0]}, X has {D.X.shape[0]} rows")
-    return _omp_columns(D, y[:, None], k, residual_tol)[0]
+    return _omp_columns(D, as_sample(y, D.X.shape[0]), k, residual_tol)[0]
 
 
 def _omp_columns(D, Y, k, residual_tol):
@@ -372,15 +369,12 @@ def l1_solve(X, y, epsilon, max_iter=DEFAULT_MAX_ITER):
     iteration budget is spent. On non-convergence the best iterate seen (by
     residual norm) is returned and a ConvergenceWarning is issued.
 
-    This is the one-column case of ``_l1_columns``, which codes many
-    samples at once. ``X`` is a matrix or, to compute the step bound
-    2 * lambda_max(X^T X) once for many samples, a Dictionary.
+    This is ``as_sample`` and the one-column case of ``_l1_columns``, which
+    codes many samples at once. ``X`` is a matrix or, to compute the step
+    bound 2 * lambda_max(X^T X) once for many samples, a Dictionary.
     """
     D = as_dictionary(X)
-    y = as_vec(y, "y")
-    if y.shape[0] != D.X.shape[0]:
-        raise DimensionError(f"y has length {y.shape[0]}, X has {D.X.shape[0]} rows")
-    return _l1_columns(D, y[:, None], epsilon, max_iter)[0][:, 0]
+    return _l1_columns(D, as_sample(y, D.X.shape[0]), epsilon, max_iter)[0][:, 0]
 
 
 def _l1_columns(D, Y, epsilon, max_iter):

@@ -9,6 +9,7 @@ seeded explicitly, so every result is a pure function of (inputs, seed).
 """
 
 import csv
+import math
 import os
 import secrets
 import struct
@@ -179,7 +180,7 @@ def load_csv(path):
                         f"line {lineno}: field {j} ({fieldtxt!r}) is not a number",
                         line=lineno,
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise ParseError(
                         f"line {lineno}: field {j} is not finite", line=lineno
                     )

@@ -74,7 +74,8 @@ def as_vec(a, name="vector"):
 def as_samples(Y, m):
     """Test samples, the columns of ``Y``, checked once for the batch: a
     float64 column-major m x N matrix, finite and with no zero column. The
-    error for a bad sample names its column."""
+    error for a bad sample names its column. This is the one check of a
+    test sample: every coder and residual rule makes it."""
     Y = np.asfortranarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] == 0:
         raise DimensionError(f"test samples must be a nonempty matrix, got shape {Y.shape}")
@@ -87,6 +88,14 @@ def as_samples(Y, m):
     if zero.size:
         raise ParameterError(f"test sample must be nonzero (column {zero[0]})")
     return Y
+
+
+def as_sample(y, m):
+    """One test sample, a 1-D ``y``, checked by ``as_samples`` as m x 1."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise DimensionError(f"y must be 1-D, got ndim={y.ndim}")
+    return as_samples(y[:, None], m)
 
 
 def as_labels(labels):

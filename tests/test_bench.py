@@ -28,12 +28,14 @@ from rcls.bench import (
 )
 from rcls import bench
 from rcls.classify import (
+    classify_regularized_residual,
     classify_residual,
     fuse_coefficients,
     regularized_residual_scores,
     score,
+    split_blocks,
 )
-from rcls.coders import omp
+from rcls.coders import fit_crc, fit_procrc, l1_solve, omp
 from rcls.data import (
     Dataset,
     SynthSpec,
@@ -50,6 +52,7 @@ from rcls.errors import (
     DimensionError,
     ParameterError,
 )
+from rcls.linalg import Dictionary
 
 CLEAN = SynthSpec(C=3, ambient_dim=12, subspace_dim=2, per_class=8, seed=0)
 NOISY = SynthSpec(
@@ -296,21 +299,64 @@ def test_src_epsilon_fails_at_fit_time(epsilon, monkeypatch):
         fit_method(method, train, k=4, epsilon=epsilon)  # epsilon is not used by these
 
 
+def one_shot_coders(train):
+    """The entry points outside the fitted methods that take one test
+    sample (projectors' ``code`` also take a batch), each as a function of
+    the sample; the projectors by name too."""
+    D = Dictionary(train.X)
+    blocks = split_blocks(train.X, train.class_sizes)
+    alpha = np.ones(train.n)
+    projectors = {
+        "crc": fit_crc(D, 0.01), "procrc": fit_procrc(D, train.class_sizes, 0.01, 0.5),
+    }
+    return projectors, {
+        "omp": lambda y: omp(D, y, 4),
+        "l1_solve": lambda y: l1_solve(D, y, 0.05),
+        **{f"{name}.code": P.code for name, P in projectors.items()},
+        "classify_residual": lambda y: classify_residual(blocks, y, alpha),
+        "classify_regularized_residual": lambda y: classify_regularized_residual(blocks, y, alpha),
+    }
+
+
+def assert_same_error(calls, y, error, match):
+    """Every call of ``calls`` on ``y`` raises ``error`` with one message,
+    which matches ``match``."""
+    messages = {}
+    for name, call in calls.items():
+        with pytest.raises(error, match=match) as exc:
+            call(y)
+        messages[name] = str(exc.value)
+    assert len(set(messages.values())) == 1, messages
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_zero_test_sample_raises_parameter_error(method):
     train = grouped_train(NOISY, per_class_train=5)
     state = fit_method(method, train, k=4)
-    with pytest.raises(ParameterError, match="test sample must be nonzero"):
-        state.compute_code(np.zeros(train.m))
+    _, one_shot = one_shot_coders(train)
+    assert_same_error({method: state.compute_code, **one_shot}, np.zeros(train.m),
+                      ParameterError, "test sample must be nonzero")
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_wrong_length_test_sample_raises_dimension_error(method):
     train = grouped_train(NOISY, per_class_train=5)
     state = fit_method(method, train, k=4)
+    projectors, one_shot = one_shot_coders(train)
+    calls = {method: state.compute_code, **one_shot}
     for m in (train.m - 1, train.m + 1):
-        with pytest.raises(DimensionError, match=f"y has length {m}, X has {train.m} rows"):
-            state.compute_code(np.ones(m))
+        assert_same_error(calls, np.ones(m), DimensionError,
+                          f"y has length {m}, X has {train.m} rows")
+    # a sample that is not 1-D; the projectors take a matrix as a batch,
+    # so for them (and for a batch) it is an array of three dimensions
+    del calls["crc.code"], calls["procrc.code"]
+    assert_same_error(calls, np.ones((train.m, 1)), DimensionError,
+                      "y must be 1-D, got ndim=2")
+    batch_calls = {method: state.compute_codes, **{p: P.code for p, P in projectors.items()}}
+    assert_same_error(batch_calls, np.ones((train.m, 2, 1)), DimensionError,
+                      "test samples must be a nonempty matrix")
+    with pytest.raises(DimensionError, match=rf"nonempty matrix, got shape \({train.m},\)"):
+        state.compute_codes(np.ones(train.m))  # a batch is a matrix in every method
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -320,16 +366,16 @@ def test_wrong_length_test_sample_raises_dimension_error(method):
 def test_one_bad_column_fails_the_batch_like_the_sample_alone(method, bad, error):
     train = grouped_train(NOISY, per_class_train=5)
     state = fit_method(method, train, k=4)
+    projectors, one_shot = one_shot_coders(train)
     Y = np.random.default_rng(5).standard_normal((train.m, 6))
     Y[:, 4] = 0.0
     Y[2, 4] = bad
-    with pytest.raises(error):
-        state.compute_code(Y[:, 4])
-    with pytest.raises(error, match=r"\(column 4\)"):
-        state.compute_codes(Y)
+    assert_same_error({method: state.compute_code, **one_shot}, Y[:, 4], error, r"\(column 0\)")
+    batch_calls = {method: state.compute_codes, **{p: P.code for p, P in projectors.items()}}
+    assert_same_error(batch_calls, Y, error, r"\(column 4\)")
     for m in (train.m - 1, train.m + 1):
-        with pytest.raises(DimensionError, match=f"y has length {m}, X has {train.m} rows"):
-            state.compute_codes(np.ones((m, 3)))
+        assert_same_error(batch_calls, np.ones((m, 3)), DimensionError,
+                          f"y has length {m}, X has {train.m} rows")
 
 
 @st.composite
@@ -831,6 +877,10 @@ def test_load_experiment_config_missing_required(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_experiment_config(p2)
     assert "per_class_train" in str(exc.value)
+    p3 = write_cfg(tmp_path, SYNTH_BLOCK.replace("  ambient_dim: 12\n", "") + "method: crc\n",
+                   "c3.yaml")
+    with pytest.raises(ConfigError, match="synth is missing required key 'ambient_dim'"):
+        load_experiment_config(p3)
 
 
 def test_load_experiment_config_type_errors(tmp_path):
@@ -840,12 +890,18 @@ def test_load_experiment_config_type_errors(tmp_path):
     p2 = write_cfg(tmp_path, SYNTH_BLOCK + "method: crc\nlambda: soft\n", "c2.yaml")
     with pytest.raises(ConfigError):
         load_experiment_config(p2)
+    p3 = write_cfg(tmp_path, "synth: 5\nper_class_train: 4\nmethod: crc\n", "c3.yaml")
+    with pytest.raises(ConfigError, match="synth must be a mapping"):
+        load_experiment_config(p3)
 
 
 def test_load_experiment_config_rejects_methods_list(tmp_path):
     p = write_cfg(tmp_path, SYNTH_BLOCK + "methods: [crc]\n")
     with pytest.raises(ConfigError):
         load_experiment_config(p)
+    p2 = write_cfg(tmp_path, SYNTH_BLOCK + "method: crc\nmethods: [crc]\n", "c2.yaml")
+    with pytest.raises(ConfigError, match="'methods' is only valid in a comparison config"):
+        load_experiment_config(p2)
 
 
 def test_load_experiment_config_bad_yaml(tmp_path):

@@ -113,6 +113,8 @@ def test_classify_residual_dimension_error():
         classify_residual([np.eye(3)], np.ones(3), np.ones(4))
     with pytest.raises(DimensionError):
         classify_residual([np.eye(3)], np.ones(2), np.ones(3))
+    with pytest.raises(DimensionError):
+        classify_residual([], np.ones(3), np.ones(3))
 
 
 def test_regularized_residual_crc_picks_own_atom():

@@ -7,7 +7,7 @@ import pytest
 
 from rcls import bench, cli
 from rcls.bench import load_experiment_config, run_experiment
-from rcls.data import load_bin, load_csv
+from rcls.data import Dataset, load_bin, load_csv, save_bin
 from rcls.errors import SingularMatrixError
 
 SYNTH_ARGS = [
@@ -146,9 +146,12 @@ def test_compare_runs_and_writes_csv(tmp_path, capsys):
     cfg_path = tmp_path / "cmp.yaml"
     cfg_path.write_text(CONFIG.replace("method: crc", "methods: [crc, procrc]"))
     out_csv = tmp_path / "cmp.csv"
-    rc = cli.main(["compare", "--config", str(cfg_path), "--out-csv", str(out_csv)])
+    out_text = tmp_path / "cmp.txt"
+    rc = cli.main(["compare", "--config", str(cfg_path), "--out-csv", str(out_csv),
+                   "--out-text", str(out_text)])
     assert rc == 0
     captured = capsys.readouterr()
+    assert out_text.read_bytes() == captured.out.encode("utf-8")
     assert "crc" in captured.out and "procrc" in captured.out
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "method,mean,std,trials,base_seed,err_reduction_pct"
@@ -245,6 +248,19 @@ def test_diag_sample_index_out_of_range(tmp_path, capsys):
     )
     assert rc == 1
     assert "out of range" in capsys.readouterr().err
+    # a sample that is all zero cannot be normalized
+    ds = load_bin(data)
+    X = np.array(ds.X)
+    X[:, 2] = 0.0
+    save_bin(Dataset(X=X, labels=ds.labels, C=ds.C), data)
+    rc = cli.main(
+        ["diag", "--train", str(data), "--sample-index", "2",
+         "--method", "crc", "--out-dir", str(tmp_path / "d")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: DataError: sample 2 is zero and cannot be normalized\n"
+    )
 
 
 def test_convert_round_trip(tmp_path, capsys):
@@ -281,6 +297,17 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: FileNotFoundError:")
     assert cli.main(["bench", "--config", str(tmp_path / "nope.yaml")]) == 2
+    capsys.readouterr()
+    # an output path that is a directory fails the write, which leaves no
+    # temp file behind
+    data = make_data(tmp_path)
+    (tmp_path / "out").mkdir()
+    capsys.readouterr()
+    assert cli.main(["convert", "--in", str(data), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["out", "train.rcls"]
 
 
 def test_bad_config_exits_two(tmp_path, capsys):

@@ -148,6 +148,10 @@ def test_load_csv_ragged_row_names_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(p)
     assert exc.value.line == 3
+    p.write_text("label,f1\n1,0.0\n2\n")  # a label alone
+    with pytest.raises(ParseError, match="line 3: need a label and at least one feature") as exc:
+        load_csv(p)
+    assert exc.value.line == 3
 
 
 def test_load_csv_non_numeric_field_names_line(tmp_path):
@@ -487,6 +491,11 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert p.read_bytes() == b"world"
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".rcls-tmp-")]
     assert leftovers == []
+    # a write that fails at the rename removes its temp file
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_bytes(tmp_path / "dir", b"hello")
+    assert sorted(os.listdir(tmp_path)) == ["dir", "out.bin"]
 
 
 def test_outputs_get_mode_from_umask(tmp_path):

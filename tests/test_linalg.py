@@ -204,3 +204,11 @@ def test_importing_rcls_does_not_load_scipy():
         [sys.executable, "-c", "import rcls, sys; assert 'scipy' not in sys.modules"],
         check=True,
     )
+
+
+def test_importing_rcls_does_not_load_yaml():
+    # PyYAML is loaded by the first config read, not on import
+    subprocess.run(
+        [sys.executable, "-c", "import rcls, sys; assert 'yaml' not in sys.modules"],
+        check=True,
+    )
