@@ -318,6 +318,9 @@ def run_experiment(cfg):
 def _load_projected(cfg):
     ds = load_source(cfg.dataset)
     if cfg.projection_dim is not None:
+        if cfg.projection_dim > ds.m:
+            raise ConfigError(f"projection_dim {cfg.projection_dim} exceeds the "
+                              f"dataset's feature dimension {ds.m}")
         ds = random_project(ds, cfg.projection_dim, seed=cfg.base_seed)
     return ds
 

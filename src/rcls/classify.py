@@ -16,7 +16,7 @@ from .errors import (
     DegenerateFusionError,
     DimensionError,
 )
-from .linalg import _frozen_array, as_labels, as_sample, as_vec, class_slices
+from .linalg import _frozen_array, _row_products, as_labels, as_sample, as_vec, class_slices
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,9 @@ def _pick_class(scores, best):
 def residual_scores(X_blocks, Y, A):
     """Plain residual rule for the samples in the columns of Y with codes in
     the columns of A, split over the blocks in order: scores[i, j] =
-    ||Y_j - X_i A_ij||_2, one block GEMM per class. Column j's winner is
-    its argmin."""
+    ||Y_j - X_i A_ij||_2, from the rows of ``Y^T - A_i^T X_i^T``: one
+    ``_row_products`` per class and one sum per row, so column j's scores
+    do not depend on the other columns. Column j's winner is its argmin."""
     X_blocks = [np.asarray(B) for B in X_blocks]
     n = sum(B.shape[1] for B in X_blocks)
     if A.shape != (n, Y.shape[1]):
@@ -109,24 +110,27 @@ def residual_scores(X_blocks, Y, A):
         )
     if any(B.shape[0] != Y.shape[0] for B in X_blocks):
         raise DimensionError("block row count does not match y")
+    Yr = np.ascontiguousarray(Y.T)
+    ends = np.cumsum([B.shape[1] for B in X_blocks])[:-1]
     scores = np.empty((len(X_blocks), Y.shape[1]))
-    start = 0
-    for i, B in enumerate(X_blocks):
-        scores[i] = np.linalg.norm(Y - B @ A[start:start + B.shape[1]], axis=0)
-        start += B.shape[1]
+    for i, (B, A_i) in enumerate(zip(X_blocks, np.split(A.T, ends, axis=1))):
+        R = _row_products(A_i, B.T)
+        R -= Yr  # the negated residual, in place: no N x m array per class
+        scores[i] = np.sqrt(np.einsum("rm,rm->r", R, R))
     return scores
 
 
 def regularized_residual_scores(X_blocks, Y, A):
     """Residual rule with each class residual divided by its coefficient
-    norm ||A_ij||_2.
+    norm ||A_ij||_2, summed over a contiguous row like the residual.
 
     A class with a zero coefficient block scores +inf and cannot win; a
     column where every class does is a degenerate decision.
     """
     residuals = residual_scores(X_blocks, Y, A)
     ends = np.cumsum([np.shape(B)[1] for B in X_blocks])[:-1]
-    norms = np.array([np.linalg.norm(A_i, axis=0) for A_i in np.split(A, ends)])
+    norms = np.array([np.sqrt(np.einsum("rn,rn->r", A_i, A_i))
+                      for A_i in np.split(np.ascontiguousarray(A.T), ends, axis=1)])
     scores = np.full(residuals.shape, np.inf)
     np.divide(residuals, norms, out=scores, where=norms != 0.0)
     dead = np.flatnonzero(~np.isfinite(scores).any(axis=0))

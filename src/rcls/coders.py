@@ -19,6 +19,7 @@ from .errors import (
 )
 from .linalg import (
     _frozen_array,
+    _row_products,
     as_dictionary,
     as_mat,
     as_sample,
@@ -42,30 +43,26 @@ DEPENDENT_ATOM_TOL = 1e-10
 # ``_l1_columns`` hold at a time; wider batches are coded in chunks of
 # columns.
 CHUNK_BYTES = 8 << 20
-# Rows of every GEMM of the l1 solver (see ``_row_products``).
-GEMM_ROWS = 16
 
 
-def _project(M, Y):
-    """``M @ Y`` for a solve operator ``M = (...)^-1 X^T`` of shape n x m and
-    a sample (``as_sample``, a 1-D product) or samples (``as_samples``, a GEMM)."""
-    if np.ndim(Y) == 1:
-        return M @ as_sample(Y, M.shape[1])[:, 0]
-    return M @ as_samples(Y, M.shape[1])
+def _project(M, y):
+    """``M @ y`` for a column-major n x m solve operator: a 1-D sample's code
+    (``as_sample``) or the codes of the columns of a matrix (``as_samples``),
+    as one ``_row_products`` of the samples as rows and ``M^T``."""
+    Y = (as_sample if np.ndim(y) == 1 else as_samples)(y, M.shape[1])
+    return _row_products(Y.T, M.T).T.reshape(M.shape[0], *np.shape(y)[1:])
 
 
 @dataclass(frozen=True)
 class CrcProjector:
     """Precomputed ridge solve operator P = (X^T X + lam I)^-1 X^T, an
-    n x m matrix (see ``fit_crc`` for how it is solved).
-
-    Coding test samples is a single product: ``code(Y) = P @ Y``.
-    """
+    n x m matrix stored column-major (see ``fit_crc`` for how it is
+    solved). Coding test samples is one product: ``code(Y) = P @ Y``."""
 
     P: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _frozen_array(self.P))
+        object.__setattr__(self, "P", _frozen_array(np.asfortranarray(self.P)))
 
     def code(self, y):
         return _project(self.P, y)
@@ -75,15 +72,15 @@ class CrcProjector:
 class ProCrcProjector:
     """Precomputed solve operator for the class-consistent dense coder.
 
-    ``T = (X^T X + (gamma/C) S + lam I)^-1 X^T``, an n x m matrix, where S
-    is the summed leave-one-class-out Gram matrix (see ``build_gram_sum``
-    for S and ``fit_procrc`` for how T is solved). ``code(Y) = T @ Y``.
+    ``T = (X^T X + (gamma/C) S + lam I)^-1 X^T``, an n x m matrix stored
+    column-major, where S is the summed leave-one-class-out Gram matrix
+    (``build_gram_sum``; ``fit_procrc`` solves T). ``code(Y) = T @ Y``.
     """
 
     T: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "T", _frozen_array(self.T))
+        object.__setattr__(self, "T", _frozen_array(np.asfortranarray(self.T)))
 
     def code(self, y):
         return _project(self.T, y)
@@ -285,12 +282,13 @@ def _pursue(X, G, Y, k, residual_tol):
     live columns: O(i^2) for the factor and the coefficients and
     O((n + m) i) for the correlations and the residual at support size i.
     The residual and its norm are computed explicitly from the
-    coefficients.
+    coefficients. ``X^T y`` is ``_row_products`` and every later product
+    one per column, so a column's code does not depend on the others.
     """
     m, n = X.shape
     N = Y.shape[1]
     Yr = np.ascontiguousarray(Y.T)  # N x m, one sample per row
-    B = Yr @ X  # X^T y per row
+    B = _row_products(Yr, X)  # X^T y per row
     GS = np.empty((N, k, n))  # row t: G[S[t], :]
     XS = np.empty((N, k, m))  # row t: X[:, S[t]]
     Linv = np.zeros((N, k, k))
@@ -330,9 +328,7 @@ def _pursue(X, G, Y, k, residual_tol):
             w = keep.size
             if not w:
                 break
-            cols, J, v, pivot, sol, B, Yr = (
-                x[keep] for x in (cols, J, v, pivot, sol, B, Yr)
-            )
+            cols, J, v, pivot, sol, B, Yr = (x[keep] for x in (cols, J, v, pivot, sol, B, Yr))
             # move the kept rows up in place, one at a time, so that no
             # copy of the panels is made
             for dst, src in enumerate(keep):
@@ -484,24 +480,3 @@ def _shrink(X, Y, epsilon, max_iter, step):
     codes[cols] = best
     iterations[cols] = max_iter
     return codes.T, iterations, list(zip(cols.tolist(), best_res.tolist()))
-
-
-def _row_products(A, B):
-    """``A @ B`` for the rows of A (w x p, C order), computed in groups of
-    exactly ``GEMM_ROWS`` rows with the last group padded with zero rows.
-
-    Every BLAS call is then one GEMM of one shape, so row i of the result
-    does not depend on w or on the other rows of A. A single GEMM over all
-    w rows would not do: OpenBLAS picks its kernel by the product's size,
-    and the kernels round differently.
-    """
-    w = A.shape[0]
-    out = np.empty((-(-w // GEMM_ROWS) * GEMM_ROWS, B.shape[1]))
-    full = w - w % GEMM_ROWS
-    for g in range(0, full, GEMM_ROWS):
-        np.matmul(A[g:g + GEMM_ROWS], B, out=out[g:g + GEMM_ROWS])
-    if full < w:
-        pad = np.zeros((GEMM_ROWS, A.shape[1]))
-        pad[:w - full] = A[full:]
-        np.matmul(pad, B, out=out[full:])
-    return out[:w]

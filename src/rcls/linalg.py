@@ -1,10 +1,11 @@
 """Dense linear algebra: checked arrays and dictionaries, Gram, SPD solves.
 
 Everything is 64-bit floating point. Matrices are stored column-major so a
-sample (one column) is contiguous. Inverses are never formed explicitly;
-systems are solved through a Cholesky factorization. scipy's LAPACK
-wrappers are imported by the first solve, so importing rcls (and running
-what never fits, such as ``rcls convert``) does not load scipy.
+sample (one column) is contiguous; test samples are multiplied as rows
+(``_row_products``). No inverse is formed; systems are solved through a
+Cholesky factorization. scipy's LAPACK wrappers are imported by the first
+solve, so importing rcls (and running what never fits, such as
+``rcls convert``) does not load scipy.
 """
 
 import functools
@@ -24,6 +25,8 @@ from .errors import (
 
 # Relative Frobenius residual an SPD solve must achieve.
 SOLVE_RTOL = 1e-8
+# Rows of every GEMM of test samples (see ``_row_products``).
+GEMM_ROWS = 16
 
 
 def _frozen_array(a):
@@ -96,6 +99,21 @@ def as_sample(y, m):
     if y.ndim != 1:
         raise DimensionError(f"y must be 1-D, got ndim={y.ndim}")
     return as_samples(y[:, None], m)
+
+
+def _row_products(A, B):
+    """``A @ B`` for the rows of A (w x p, any layout): one batched GEMM
+    over groups of exactly ``GEMM_ROWS`` rows, the last padded with zeros.
+    Every coder and residual rule multiplies test samples (or their codes)
+    by X, a class block or a fitted operator this way. Each BLAS call has
+    one shape, so row i of the result is bitwise the same whatever w and
+    the other rows; one GEMM over all w rows would not do, as OpenBLAS
+    picks its kernel, and so its rounding, by the product's size. B is
+    fastest row-major, such as the transpose of a column-major matrix."""
+    w, p = A.shape
+    padded = np.zeros((-(-w // GEMM_ROWS), GEMM_ROWS, p))
+    padded.reshape(-1, p)[:w] = A
+    return np.matmul(padded, B).reshape(-1, B.shape[1])[:w]
 
 
 def as_labels(labels):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -433,6 +434,13 @@ def code_matrix(codes):
     return codes
 
 
+def class_scores(state, codes, Y):
+    """C x N scores of the method's rule for the codes of the columns of Y."""
+    if isinstance(state, bench.FittedSa):
+        return np.column_stack([state.decide(c, y).scores for c, y in zip(codes, Y.T)])
+    return state.rule(state.blocks, Y, codes)
+
+
 @pytest.mark.filterwarnings("ignore::rcls.errors.ConvergenceWarning")
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -447,13 +455,15 @@ def test_batch_decisions_do_not_depend_on_batch_size_or_order(method, case):
     assert np.array_equal(tie, oracle_tie)
     assert (predicted[tied] == 1).all() and tie[tied].all()
     A = code_matrix(codes)
-    tol = 1e-12 * np.abs(A).max()
+    S = class_scores(state, codes, Y)
 
     for j, y in enumerate(Y.T):
         one = state.compute_codes(Y[:, [j]])
-        assert np.abs(code_matrix(one)[:, 0] - A[:, j]).max() <= tol
+        assert np.array_equal(code_matrix(one)[:, 0], A[:, j])
+        assert np.array_equal(class_scores(state, one, Y[:, [j]])[:, 0], S[:, j])
         p, t = state.decide_all(one, Y[:, [j]])
         d = state.decide(state.compute_code(y), y)
+        assert np.array_equal(d.scores, S[:, j])
         assert p[0] == d.predicted_class == predicted[j]
         assert t[0] == d.tie == tie[j]
 
@@ -461,7 +471,8 @@ def test_batch_decisions_do_not_depend_on_batch_size_or_order(method, case):
     shuffled = state.compute_codes(Y[:, perm])
     p, t = state.decide_all(shuffled, Y[:, perm])
     back = np.argsort(perm)
-    assert np.abs(code_matrix(shuffled)[:, back] - A).max() <= tol
+    assert np.array_equal(code_matrix(shuffled)[:, back], A)
+    assert np.array_equal(class_scores(state, shuffled, Y[:, perm])[:, back], S)
     assert np.array_equal(p[back], predicted) and np.array_equal(t[back], tie)
     if method == "crc":
         scores = regularized_residual_scores(state.blocks, Y, codes)
@@ -527,13 +538,23 @@ def test_single_trial_std_is_zero():
     assert rep.std == 0.0
 
 
-def test_run_experiment_with_projection():
+def test_run_experiment_with_projection(monkeypatch):
     cfg = ExperimentConfig(
         dataset=NOISY, method="crc", per_class_train=5, trials=2, projection_dim=6
     )
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a == b
+    # wider than the data: a config error naming the key, before any trial
+    wide = dataclasses.replace(cfg, projection_dim=11)
+    monkeypatch.setattr(bench, "split", lambda *args: pytest.fail("a trial ran"))
+    message = "projection_dim 11 exceeds the dataset's feature dimension 10"
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(wide)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigError) as exc:
+        compare_methods([wide, dataclasses.replace(wide, method="src")])
+    assert str(exc.value) == message
 
 
 def test_run_experiment_class_exhaustion_fails_cleanly():

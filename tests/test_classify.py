@@ -10,6 +10,7 @@ from rcls.classify import (
     classify_regularized_residual,
     classify_residual,
     fuse_coefficients,
+    residual_scores,
     score,
     split_blocks,
 )
@@ -69,6 +70,9 @@ def test_build_label_matrix_errors():
         build_label_matrix([1, 1, 3], 3)  # class 2 empty
     with pytest.raises(DatasetError, match="label 1.9 is not an integer"):
         build_label_matrix([1.9, 2.5], 2)
+    for labels in ([[1, 2]], []):
+        with pytest.raises(DatasetError, match="labels must be a nonempty 1-D sequence"):
+            build_label_matrix(labels, 2)
     assert np.array_equal(build_label_matrix([1.0, 2.0], 2).L, np.eye(2))
 
 
@@ -115,6 +119,9 @@ def test_classify_residual_dimension_error():
         classify_residual([np.eye(3)], np.ones(2), np.ones(3))
     with pytest.raises(DimensionError):
         classify_residual([], np.ones(3), np.ones(3))
+    # the batch rule itself: a block of another row count than Y
+    with pytest.raises(DimensionError, match="block row count does not match y"):
+        residual_scores([np.eye(3), np.ones((2, 1))], np.ones((3, 2)), np.ones((4, 2)))
 
 
 def test_regularized_residual_crc_picks_own_atom():

@@ -338,6 +338,15 @@ def test_bad_config_value_exits_two_naming_the_key(tmp_path, capsys, old, new, m
     assert err == f"error: ConfigError: {cfg_path}: {message}\n"
 
 
+def test_projection_wider_than_the_data_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(CONFIG + "projection_dim: 20\n")  # 12-dimensional samples
+    assert cli.main(["bench", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ConfigError: projection_dim 20 exceeds the dataset's feature dimension 12\n"
+
+
 def test_corrupt_data_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.rcls"
     bad.write_bytes(b"JUNKJUNKJUNK")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcls import coders
+from rcls import coders, linalg
 from rcls.coders import (
     DEPENDENT_ATOM_TOL,
+    SparseCode,
     _l1_columns,
     _omp_columns,
     build_gram_sum,
@@ -16,7 +17,8 @@ from rcls.coders import (
     l1_solve,
     omp,
 )
-from rcls.data import SynthSpec, normalize_columns, synth
+from rcls.bench import FittedSa, fit_method
+from rcls.data import Dataset, SynthSpec, normalize_columns, synth
 from rcls.errors import (
     ConvergenceWarning,
     DatasetError,
@@ -282,6 +284,8 @@ def test_omp_canonical_ordered_selection():
     assert sc.support == (2, 0)
     assert np.allclose(sc.coeffs, [3.0, 0.0, 4.0], rtol=0, atol=1e-12)
     assert sc.final_residual_norm <= 1e-12
+    with pytest.raises(ParameterError, match="support indices must be distinct"):
+        SparseCode(coeffs=sc.coeffs, support=(2, 0, 2), final_residual_norm=0.0)
 
 
 def greedy_replay(X, y, k):
@@ -728,7 +732,7 @@ def test_l1_solve_validation():
 def padded_row(v, B):
     """``v @ B`` as row 0 of a ``GEMM_ROWS``-row GEMM whose other rows are
     zero."""
-    P = np.zeros((coders.GEMM_ROWS, v.shape[0]))
+    P = np.zeros((linalg.GEMM_ROWS, v.shape[0]))
     P[0] = v
     return (P @ B)[0]
 
@@ -953,14 +957,80 @@ def test_l1_columns_do_not_depend_on_the_batch_at_a_realistic_shape(monkeypatch)
             assert iterations[c] == alone[j][1][0]
 
 
+def grouped_row_products(A, B):
+    """``A @ B`` for a C-order A as a loop of ``GEMM_ROWS``-row GEMMs, the
+    last one over zero-padded rows: the arithmetic ``_row_products`` runs
+    as one batched GEMM."""
+    G, w = linalg.GEMM_ROWS, A.shape[0]
+    out = np.empty((-(-w // G) * G, B.shape[1]))
+    full = w - w % G
+    for g in range(0, full, G):
+        np.matmul(A[g:g + G], B, out=out[g:g + G])
+    if full < w:
+        pad = np.zeros((G, A.shape[1]))
+        pad[:w - full] = A[full:]
+        np.matmul(pad, B, out=out[full:])
+    return out[:w]
+
+
 def test_row_products_do_not_depend_on_the_other_rows():
-    # the Yale-B shape, both products of a shrinkage step
+    # the Yale-B shape, with every operand layout the callers pass: the
+    # samples (C order) by X and by X^T, as the sparse coders do, by the
+    # transpose of a column-major operator, as the dense coders do, and a
+    # strided slice of the codes' transpose by a class block's transpose,
+    # as the residual rules do
     rng = np.random.default_rng(23)
     X = np.asfortranarray(unit_columns(rng, 504, 1216))
-    for rows, B in ((rng.standard_normal((40, 1216)), X.T), (rng.standard_normal((40, 504)), X)):
-        alone = np.vstack([coders._row_products(rows[[i]], B) for i in range(40)])
-        for w in range(1, 41):
-            assert np.array_equal(coders._row_products(rows[:w], B), alone[:w])
+    M = np.asfortranarray(rng.standard_normal((1216, 504)))
+    codes = rng.standard_normal((1216, 40))
+    block = slice(64, 96)
+    cases = [
+        (rng.standard_normal((40, 1216)), X.T),
+        (rng.standard_normal((40, 504)), X),
+        (rng.standard_normal((40, 504)), M.T),
+        (codes.T[:, block], X[:, block].T),
+    ]
+    for rows, B in cases:
+        alone = np.vstack([linalg._row_products(rows[[i]], B) for i in range(40)])
+        for w in range(1, 41):  # group edges at 15-17 and 31-33 rows
+            batch = linalg._row_products(rows[:w], B)
+            assert np.array_equal(batch, alone[:w])
+            if rows.flags.c_contiguous:
+                assert np.array_equal(batch, grouped_row_products(rows[:w], B))
+
+
+@pytest.mark.parametrize("method", ["crc", "procrc", "sa_crc", "sa_procrc"])
+@pytest.mark.parametrize("C, m, s, sigma, train", [
+    (10, 50, 5, 0.2, 20),  # the small_dict benchmark
+    (38, 504, 9, 0.1, 32),  # the Yale-B shape
+])
+def test_dense_and_sa_columns_do_not_depend_on_the_batch_at_realistic_shapes(
+        method, C, m, s, sigma, train):
+    # above the size at which OpenBLAS leaves its small-matrix GEMM kernel:
+    # each of 40 shuffled test columns is coded, scored and decided
+    # bitwise as it is alone
+    per_class = train + -(-40 // C)  # at least 40 test columns
+    ds = normalize_columns(synth(SynthSpec(C=C, ambient_dim=m, subspace_dim=s,
+                                           per_class=per_class, noise_sigma=sigma, seed=1)))
+    is_train = np.arange(ds.n) % per_class < train
+    Y = np.asfortranarray(ds.X[:, ~is_train][:, :40])
+    state = fit_method(method, Dataset(X=ds.X[:, is_train], labels=ds.labels[is_train], C=C))
+    order = np.random.default_rng(1).permutation(40)
+    codes = state.compute_codes(Y[:, order])
+    predicted = state.decide_all(codes, Y[:, order])[0]
+    for c, j in enumerate(order):
+        code, y = state.compute_code(Y[:, j]), Y[:, j]
+        if isinstance(state, FittedSa):
+            assert np.array_equal(codes[c].dense, code.dense)
+            assert np.array_equal(codes[c].sparse.coeffs, code.sparse.coeffs)
+            assert np.array_equal(codes[c].fused, code.fused)
+            batch_scores = state.decide(codes[c], y).scores
+        else:
+            assert np.array_equal(codes[:, c], code)
+            batch_scores = state.rule(state.blocks, Y[:, order], codes)[:, c]
+        alone = state.decide(code, y)
+        assert np.array_equal(batch_scores, alone.scores)
+        assert predicted[c] == alone.predicted_class
 
 
 def test_l1_columns_warn_once_for_the_column_that_misses_epsilon():

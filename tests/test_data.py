@@ -8,6 +8,7 @@ import pytest
 from rcls.data import (
     BIN_MAGIC,
     Dataset,
+    Split,
     SynthSpec,
     atomic_write_bytes,
     load_bin,
@@ -387,6 +388,8 @@ def test_split_counts_and_disjointness():
     assert np.array_equal(np.bincount(train_labels, minlength=4)[1:], [6, 6, 6])
     # grouped by class, each class segment sorted
     assert np.array_equal(train_labels, np.repeat([1, 2, 3], 6))
+    with pytest.raises(DatasetError, match="train and test indices overlap"):
+        Split(train_indices=[0, 1, 2], test_indices=[3, 1])
 
 
 def test_split_boundary_leaves_one_test_sample():
