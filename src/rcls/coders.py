@@ -167,8 +167,9 @@ def fit_procrc(X, class_sizes, lam, gamma):
 
     With C = 1 or gamma = 0 the class term vanishes and T is ``fit_crc``'s
     P. For an m x n X with m < n, T is solved in the sample dimension by
-    the Woodbury identity: with W = B^-1 X^T, one Cholesky solve per class
-    block, T = W (I/a + X W)^-1 / a = W (I + a X W)^-1, one m x m Cholesky
+    the Woodbury identity: with W = B^-1 X^T, whose class blocks of one
+    size are one stacked Cholesky solve (a ``split`` has one size),
+    T = W (I/a + X W)^-1 / a = W (I + a X W)^-1, one m x m Cholesky
     solve; no n x n matrix is formed. For m >= n it is one n x n Cholesky
     solve.
     """
@@ -187,11 +188,14 @@ def fit_procrc(X, class_sizes, lam, gamma):
         return ProCrcProjector(T=spd_solve(A, X.T))
     a = 1.0 + gamma * (C - 2) / C
     W = np.empty((n, m))
-    for sl in slices:
-        Xi = X[:, sl]
-        B = (gamma / C) * (Xi.T @ Xi)
-        B[np.diag_indices(B.shape[0])] += lam
-        W[sl] = spd_solve(B, Xi.T)
+    for size in sorted({sl.stop - sl.start for sl in slices}):
+        group = [sl for sl in slices if sl.stop - sl.start == size]
+        Xs = np.stack([X[:, sl] for sl in group])  # the blocks of this size
+        XsT = np.swapaxes(Xs, 1, 2)
+        B = (gamma / C) * (XsT @ Xs)
+        B[:, np.arange(size), np.arange(size)] += lam
+        for sl, Wi in zip(group, spd_solve(B, XsT)):
+            W[sl] = Wi
     K = X @ W  # X B^-1 X^T, symmetric up to rounding
     K = (0.5 * a) * (K + K.T)
     K[np.diag_indices(m)] += 1.0

@@ -2,10 +2,9 @@
 
 Everything is 64-bit floating point. Matrices are stored column-major so a
 sample (one column) is contiguous; test samples are multiplied as rows
-(``_row_products``). No inverse is formed; systems are solved through a
-Cholesky factorization. scipy's LAPACK wrappers are imported by the first
-solve, so importing rcls (and running what never fits, such as
-``rcls convert``) does not load scipy.
+(``_row_products``). Everything runs on numpy alone: an SPD system is
+solved through its Cholesky factor L, by GEMMs with L^-1 (``spd_solve``);
+the inverse of the system matrix is never formed.
 """
 
 import functools
@@ -42,18 +41,12 @@ def as_mat(a, name="matrix"):
 
     Rejects empty shapes and non-finite entries.
     """
-    m = _as_2d(a, name)
-    _check_finite(m, name)
-    return m
-
-
-def _as_2d(a, name):
-    """``as_mat`` without its finiteness pass."""
     m = np.asfortranarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionError(f"{name} must be nonempty, got shape {m.shape}")
+    _check_finite(m, name)
     return m
 
 
@@ -111,8 +104,10 @@ def _row_products(A, B):
     picks its kernel, and so its rounding, by the product's size. B is
     fastest row-major, such as the transpose of a column-major matrix."""
     w, p = A.shape
-    padded = np.zeros((-(-w // GEMM_ROWS), GEMM_ROWS, p))
-    padded.reshape(-1, p)[:w] = A
+    padded = np.empty((-(-w // GEMM_ROWS), GEMM_ROWS, p))
+    rows = padded.reshape(-1, p)
+    rows[:w] = A
+    rows[w:] = 0.0
     return np.matmul(padded, B).reshape(-1, B.shape[1])[:w]
 
 
@@ -179,63 +174,130 @@ def gram(X):
 
 
 def spd_solve(A, B):
-    """Solve A S = B for symmetric positive definite A.
+    """Solve A S = B for symmetric positive definite A, or each system of a
+    stack: A of shape (..., k, k) and B of shape (..., k, r).
 
-    Uses a Cholesky factorization (never an explicit inverse) and verifies
-    the residual ||A S - B||_F <= SOLVE_RTOL * ||B||_F, applying one step of
-    iterative refinement if the first solve falls short; a residual that
-    is not finite fails the check. ``B`` is a matrix. The operands are
-    scanned for non-finite entries (DataError) only when the solve fails,
-    since a non-finite entry makes it fail.
+    ``np.linalg.cholesky`` factors A = L L^T, and is the check that A is
+    positive definite. L^-1 is formed by halves (``_tril_inverse``) and
+    applied twice, S = L^-T (L^-1 B), as two GEMMs. The inverse of A,
+    L^-T L^-1, is never formed: at cond(A) = 1e13 a solve through it
+    failed the residual check even after refinement, where L^-1 applied
+    twice left residuals below 1e-12 (see README.md).
+
+    Each system's residual is checked, ||A S - B||_F <= SOLVE_RTOL *
+    ||B||_F, and a system that falls short gets one step of iterative
+    refinement through the same two GEMMs; a residual that is not finite
+    fails the check. A system that is not positive definite raises
+    SingularMatrixError naming its failing pivot. The operands are scanned
+    for non-finite entries (DataError) only when the solve fails, since a
+    non-finite entry makes it fail. A 2-D call returns a column-major
+    matrix.
     """
-    from scipy.linalg import lapack
-
-    A = _as_2d(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"A must be square, got shape {A.shape}")
-    B = _as_2d(B, "B")
-    if B.shape[0] != A.shape[0]:
-        raise DimensionError(
-            f"A has {A.shape[0]} rows but B has {B.shape[0]}"
-        )
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
+        raise DimensionError(f"A must be square and nonempty, got shape {A.shape}")
+    B = np.asarray(B, dtype=np.float64)
+    if B.ndim != A.ndim:
+        raise DimensionError(f"B must be {A.ndim}-D, got ndim={B.ndim}")
+    if B.shape[:-1] != A.shape[:-1] or B.size == 0:
+        raise DimensionError(f"B must be nonempty with the rows of A {A.shape}, got shape {B.shape}")
 
     def fail(error):
         _check_finite(A, "A")
         _check_finite(B, "B")
         raise error
 
-    c, info = lapack.dpotrf(A, lower=1)
-    if info > 0:
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        index, pivot = _failing_pivot(A)
         fail(SingularMatrixError(
-            f"matrix is not positive definite: pivot {info - 1} failed",
-            pivot=info - 1,
+            f"{_system(index)}matrix is not positive definite: pivot {pivot} failed",
+            pivot=pivot,
         ))
-    if info < 0:
-        raise SingularMatrixError(f"dpotrf: illegal argument {-info}")
-
-    S, info = lapack.dpotrs(c, B, lower=1)
-    if info != 0:
-        raise SingularMatrixError(f"dpotrs failed with info={info}")
 
     # overflow and NaN show as a residual that fails the check, not as
     # RuntimeWarnings; the residual must be finite also when ||B|| is not
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_b = np.linalg.norm(B)
+        # the transposed solve, S^T = B^T L^-T L^-1, so that a 2-D S comes
+        # out column-major
+        inv = _tril_inverse(L)
+        invT = np.swapaxes(inv, -1, -2)
+        Bt = np.swapaxes(B, -1, -2)
+        At = np.swapaxes(A, -1, -2)
+        St = (Bt @ invT) @ inv
+        norm_b = _frobenius(Bt)
         bound = SOLVE_RTOL * norm_b
-        resid = B - A @ S
-        norm = np.linalg.norm(resid)
-        if not (np.isfinite(norm) and norm <= bound):
-            dS, info = lapack.dpotrs(c, resid, lower=1)
-            if info == 0:
-                S = S + dS
-                resid = B - A @ S
-            norm = np.linalg.norm(resid)
-            if not (np.isfinite(norm) and norm <= bound):
+        resid = Bt - St @ At
+        norm = _frobenius(resid)
+        bad = ~(np.isfinite(norm) & (norm <= bound))
+        if bad.any():
+            St = np.where(bad[..., None, None], St + (resid @ invT) @ inv, St)
+            norm = _frobenius(Bt - St @ At)
+            bad = ~(np.isfinite(norm) & (norm <= bound))
+            if bad.any():
+                index = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
                 fail(NumericalError(
-                    "SPD solve residual exceeds tolerance after refinement "
-                    f"({norm:.3e} > {SOLVE_RTOL:.0e} * {norm_b:.3e})"
+                    f"{_system(index)}SPD solve residual exceeds tolerance after "
+                    f"refinement ({norm[index]:.3e} > {SOLVE_RTOL:.0e} * {norm_b[index]:.3e})"
                 ))
-    return np.asfortranarray(S)
+    return np.swapaxes(St, -1, -2)
+
+
+def _system(index):
+    """The prefix of an error message about system ``index`` of a stack."""
+    return f"system {', '.join(map(str, index))} of the stack: " if index else ""
+
+
+def _frobenius(a):
+    """The Frobenius norm of each matrix of the stack ``a``, in one pass
+    without the temporary that ``np.linalg.norm`` over two axes makes."""
+    return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+
+
+def _tril_inverse(L):
+    """The inverse of each lower-triangular L of a stack (..., k, k), by
+    halves: the inverse of [[L11, 0], [L21, L22]] is
+    [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]. A diagonal block of at
+    most 32 rows is inverted by ``np.linalg.inv``; the rest is GEMMs."""
+    k = L.shape[-1]
+    if k <= 32:
+        return np.linalg.inv(L)
+    h = k // 2
+    inv11 = _tril_inverse(L[..., :h, :h])
+    inv22 = _tril_inverse(L[..., h:, h:])
+    inv = np.zeros(L.shape)
+    inv[..., :h, :h] = inv11
+    inv[..., h:, h:] = inv22
+    inv[..., h:, :h] = -(inv22 @ (L[..., h:, :h] @ inv11))
+    return inv
+
+
+def _failing_pivot(A):
+    """The index in the stack A of the first matrix that is not positive
+    definite, and its failing pivot (0-based): the leading block whose
+    Cholesky factorization fails first, found by bisection."""
+    for index in np.ndindex(A.shape[:-2]):
+        M = A[index]
+        if _factors(M):
+            continue
+        ok, fails = 0, M.shape[-1]  # sizes of leading blocks that factor, fail
+        while fails - ok > 1:
+            mid = (ok + fails) // 2
+            if _factors(M[:mid, :mid]):
+                ok = mid
+            else:
+                fails = mid
+        return index, fails - 1
+
+
+def _factors(M):
+    """Whether the Cholesky factorization of M succeeds."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class Dictionary:

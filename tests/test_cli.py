@@ -423,3 +423,35 @@ def test_classify_non_finite_parameter_exits_one(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: ParameterError: {param} must be finite")
+
+
+def test_fits_and_every_command_load_no_scipy(tmp_path):
+    # rcls runs on numpy alone: fitting the dense and sparsity-augmented
+    # coders (m < n, so procrc's class blocks are a stacked solve) and every
+    # command, run in one process, leave scipy unloaded
+    data, csv, cfg = tmp_path / "d.rcls", tmp_path / "d.csv", tmp_path / "cmp.yaml"
+    cfg.write_text(CONFIG.replace("method: crc", "methods: [src, crc, procrc, sa_crc, sa_procrc]\nk: 4"))
+    commands = [
+        SYNTH_ARGS + ["--out", str(data)],
+        ["convert", "--in", str(data), "--out", str(csv)],
+        ["classify", "--train", str(data), "--test", str(csv), "--method", "procrc", "--k", "3"],
+        ["classify", "--train", str(data), "--test", str(data), "--method", "sa_crc", "--k", "3"],
+        ["diag", "--train", str(data), "--sample-index", "0", "--method", "sa_procrc",
+         "--k", "2", "--out-dir", str(tmp_path / "diag")],
+        ["bench", "--config", str(tmp_path / "bench.yaml")],
+        ["compare", "--config", str(cfg)],
+    ]
+    (tmp_path / "bench.yaml").write_text(CONFIG)
+    script = f"""
+import sys
+import rcls
+from rcls import cli
+ds = rcls.normalize_columns(rcls.synth(rcls.SynthSpec(3, 12, 2, 8, 0.1, 4)))
+rcls.fit_method("procrc", ds)
+rcls.fit_method("sa_crc", ds, k=3)
+for argv in {commands!r}:
+    assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

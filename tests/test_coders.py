@@ -18,7 +18,7 @@ from rcls.coders import (
     omp,
 )
 from rcls.bench import FittedSa, fit_method
-from rcls.data import Dataset, SynthSpec, normalize_columns, synth
+from rcls.data import Dataset, SynthSpec, normalize_columns, synth, take_columns
 from rcls.errors import (
     ConvergenceWarning,
     DatasetError,
@@ -228,6 +228,7 @@ DENSE_CASES = {
     "C2": (lambda n: [n // 2, n - n // 2], 0.5, False),
     "gamma0": (lambda n: [4, n - 4], 0.0, False),
     "unequal": (lambda n: [2, n - 7, 5], 1.5, False),
+    "repeated": (lambda n: [3, n - 6, 3], 1.5, False),  # one stacked solve of two blocks
     "duplicate": (lambda n: [n // 2, n - n // 2], 0.5, True),
 }
 
@@ -260,16 +261,75 @@ def test_dense_fits_below_n_features_solve_m_by_m_and_build_no_gram(monkeypatch)
     monkeypatch.setattr(coders, "spd_solve", lambda A, B: solves.append(A.shape) or spd_solve(A, B))
     X = unit_columns(rng, 8, 20)
     fit_crc(X, 0.01)
-    fit_procrc(X, [6, 9, 5], 0.01, 0.5)  # one solve per class block, then one m x m
+    fit_procrc(X, [6, 9, 5], 0.01, 0.5)  # one stacked solve per block size, then one m x m
     fit_procrc(X, [20], 0.01, 0.5)  # C = 1 is the ridge coder
     assert grams == []
-    assert solves == [(8, 8), (6, 6), (9, 9), (5, 5), (8, 8), (8, 8)]
+    assert solves == [(8, 8), (1, 5, 5), (1, 6, 6), (1, 9, 9), (8, 8), (8, 8)]
     grams.clear()
     solves.clear()
     X = unit_columns(rng, 20, 8)
     fit_crc(X, 0.01)
     fit_procrc(X, [3, 5], 0.01, 0.5)
     assert grams == [(20, 8), (20, 8)] and solves == [(8, 8), (8, 8)]
+
+
+def ridge_reference(X, lam):
+    """(X^T X + lam I)^-1 X^T by least squares on the stacked [X; sqrt(lam) I]
+    (for m < n on its push-through form), never forming X^T X."""
+    m, n = X.shape
+    if m < n:
+        M = np.vstack([X.T, np.sqrt(lam) * np.eye(m)])
+        return np.linalg.lstsq(M, np.vstack([np.eye(n), np.zeros((m, n))]), rcond=None)[0].T
+    M = np.vstack([X, np.sqrt(lam) * np.eye(n)])
+    return np.linalg.lstsq(M, np.vstack([np.eye(m), np.zeros((n, m))]), rcond=None)[0]
+
+
+def procrc_reference(X, sizes, lam, gamma):
+    """``fit_procrc``'s T by the Woodbury form, T = W (I + a X W)^-1, with each
+    class block of W = B^-1 X^T a least-squares ridge operator."""
+    C = len(sizes)
+    g = np.sqrt(gamma / C)
+    a = 1.0 + gamma * (C - 2) / C
+    ends = np.cumsum(sizes)
+    W = np.vstack([
+        ridge_reference(g * X[:, end - size:end], lam) / g for size, end in zip(sizes, ends)
+    ])
+    return W @ np.linalg.inv(np.eye(X.shape[0]) + a * (X @ W))  # eigenvalues >= 1
+
+
+@pytest.mark.parametrize("spec, train", [
+    (SynthSpec(5, 60, 3, 12), 8),  # 40 atoms of rank 15, m >= n
+    (SynthSpec(38, 504, 9, 32), 32),  # the Yale-B shape: rank 342, m < n
+], ids=["m>=n", "yaleb"])
+def test_dense_fits_stay_accurate_when_ill_conditioned(monkeypatch, spec, train):
+    # noise-free classes: with lam down to 1e-14 every system has a
+    # condition number of 1e9 to 1e16. A solve through the inverse of the
+    # system matrix fails the residual check here, even after refinement.
+    # The operators themselves are not compared: their parts along X's
+    # numerically null directions are rounding divided by lam, and differ
+    # between any two solvers. X T X, the reconstructions of the atoms
+    # from their dense codes, is determined to about 1e-13.
+    keep = [c * spec.per_class + j for c in range(spec.C) for j in range(train)]
+    X = normalize_columns(take_columns(synth(spec), keep)).X
+    sizes = [train] * spec.C
+    residuals = []
+
+    def spd_solve(A, B, solve=coders.spd_solve):
+        S = solve(A, B)
+        norms = np.linalg.norm(A @ S - B, axis=(-2, -1)) / np.linalg.norm(B, axis=(-2, -1))
+        residuals.extend(np.ravel(norms))
+        return S
+
+    monkeypatch.setattr(coders, "spd_solve", spd_solve)
+    for lam in (1e-9, 1e-12, 1e-14):
+        for T, ref in (
+            (fit_crc(X, lam).P, ridge_reference(X, lam)),
+            (fit_procrc(X, sizes, lam, 0.5).T, procrc_reference(X, sizes, lam, 0.5)),
+        ):
+            got, want = X @ T @ X, X @ ref @ X
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want), lam
+    class_blocks = spec.C if X.shape[0] < X.shape[1] else 0
+    assert len(residuals) == 3 * (2 + class_blocks) and max(residuals) <= linalg.SOLVE_RTOL
 
 
 def test_omp_canonical_single_atom():

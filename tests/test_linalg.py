@@ -96,6 +96,17 @@ def test_spd_solve_self_gives_identity_up_to_200():
         assert np.abs(S - np.eye(n)).max() <= 1e-8
 
 
+def indefinite(k, m=64):
+    """A dense m x m matrix L D L^T whose leading k x k block is positive
+    definite and whose Schur complement at pivot k is -1, so that a
+    Cholesky factorization fails at pivot k (LAPACK's dpotrf: info k+1)."""
+    rng = np.random.default_rng(k)
+    L = np.tril(rng.standard_normal((m, m)), -1) / np.sqrt(m) + np.eye(m)
+    d = np.ones(m)
+    d[k] = -1.0
+    return (L * d) @ L.T
+
+
 def test_spd_solve_names_failing_pivot():
     A = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(SingularMatrixError) as exc:
@@ -104,6 +115,44 @@ def test_spd_solve_names_failing_pivot():
     with pytest.raises(SingularMatrixError) as exc:
         spd_solve(np.zeros((2, 2)), np.ones((2, 1)))
     assert exc.value.pivot == 0
+    for k in (0, 1, 17, 40, 63):
+        with pytest.raises(SingularMatrixError, match=f"^matrix is not positive definite: pivot {k} failed$") as exc:
+            spd_solve(indefinite(k), np.ones((64, 2)))
+        assert exc.value.pivot == k
+    # in a stack, the first system that fails is named with its pivot
+    A = np.stack([np.eye(64), indefinite(17), indefinite(40)])
+    with pytest.raises(SingularMatrixError, match="^system 1 of the stack: .* pivot 17 failed$") as exc:
+        spd_solve(A, np.ones((3, 64, 2)))
+    assert exc.value.pivot == 17
+    A[2, 5, 3] = np.nan
+    with pytest.raises(DataError, match="A contains non-finite entries"):
+        spd_solve(A, np.ones((3, 64, 2)))
+    B = np.ones((3, 64, 2))
+    B[1, 0, 0] = np.nan
+    with pytest.raises(DataError, match="B contains non-finite entries"):
+        spd_solve(np.stack([np.eye(64)] * 3), B)
+
+
+def test_spd_solve_stack_solves_each_system_as_alone():
+    rng = np.random.default_rng(12)
+    for k, r in ((5, 3), (40, 50), (70, 9)):
+        M = rng.standard_normal((4, k + 3, k))
+        A = np.swapaxes(M, 1, 2) @ M + 0.1 * np.eye(k)
+        B = rng.standard_normal((4, k, r))
+        S = spd_solve(A, B)
+        assert S.shape == (4, k, r)
+        for i in range(4):
+            assert np.array_equal(S[i], spd_solve(A[i], B[i]))
+            assert np.linalg.norm(A[i] @ S[i] - B[i]) <= linalg.SOLVE_RTOL * np.linalg.norm(B[i])
+    with pytest.raises(DimensionError, match="B must be 3-D"):
+        spd_solve(A, B[0])
+    with pytest.raises(DimensionError):
+        spd_solve(A, B[:3])
+
+
+def test_spd_solve_returns_a_column_major_matrix():
+    S = spd_solve(np.eye(3) + 0.1, np.ones((3, 5)))
+    assert S.shape == (3, 5) and S.dtype == np.float64 and S.flags.f_contiguous
 
 
 def test_spd_solve_is_a_numerical_error():
@@ -199,7 +248,8 @@ def test_dictionary_lipschitz_comes_from_the_smaller_gram(monkeypatch):
 
 
 def test_importing_rcls_does_not_load_scipy():
-    # scipy's LAPACK wrappers are loaded by the first SPD solve, not on import
+    # rcls runs on numpy alone; tests/test_cli.py checks that fits and CLI
+    # commands load no scipy either
     subprocess.run(
         [sys.executable, "-c", "import rcls, sys; assert 'scipy' not in sys.modules"],
         check=True,
