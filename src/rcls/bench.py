@@ -15,6 +15,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -196,10 +197,9 @@ class FittedSa:
         self.blocks = blocks
 
     def compute_codes(self, Y):
-        """One SaCodes per test sample (column of Y, checked by each coder)."""
-        Y = as_samples(Y, self.D.X.shape[0])
-        dense = self.projector.code(Y)
-        sparse = _omp_columns(self.D, Y, self.k, DEFAULT_RESIDUAL_TOL)
+        """One SaCodes per test sample (column of Y, checked once)."""
+        dense = _project_batch(self.projector, Y, self.D.X.shape[0])
+        sparse = _omp_columns(self.D, np.asarray(Y, float), self.k, DEFAULT_RESIDUAL_TOL)
         return [self._fuse(sp, d) for sp, d in zip(sparse, dense.T)]
 
     def _fuse(self, sp, dense):
@@ -228,6 +228,13 @@ class FittedSa:
     def decide(self, code, y):
         q = score(self.L, code.fused)
         return _pick_class(q, q.max())
+
+
+def _project_batch(projector, Y, m):
+    """``projector.code`` of a batch, the columns of Y, checked once."""
+    if np.ndim(Y) != 2:  # ``code`` would take a 1-D Y as one sample
+        as_samples(Y, m)  # raises: a batch is a matrix
+    return projector.code(Y)
 
 
 def fit_method(
@@ -273,13 +280,8 @@ def fit_method(
     else:
         projector = fit_procrc(D, sizes, lam, gamma)
     if method in ("crc", "procrc"):
-        def coder(Y):
-            if np.ndim(Y) != 2:  # ``code`` would take a 1-D Y as one sample
-                as_samples(Y, train.m)  # raises: a batch is a matrix
-            return projector.code(Y)
-
         rule = regularized_residual_scores if method == "crc" else residual_scores
-        return _FittedResidual(method, coder, rule, blocks)
+        return _FittedResidual(method, partial(_project_batch, projector, m=train.m), rule, blocks)
     L = build_label_matrix(train.labels, train.C)
     D.G  # the pursuit reads G: build it with the fit, not with the first sample
     return FittedSa(method, projector, D, L, k, blocks)

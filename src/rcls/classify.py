@@ -16,7 +16,7 @@ from .errors import (
     DegenerateFusionError,
     DimensionError,
 )
-from .linalg import _frozen_array, _row_products, as_labels, as_sample, as_vec, class_slices
+from .linalg import _frozen_array, _residual_norms, as_labels, as_sample, as_vec, class_slices
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class LabelMatrix:
         object.__setattr__(
             self, "class_indices", tuple(_frozen_array(ix) for ix in self.class_indices)
         )
-
-    @property
-    def n_classes(self):
-        return self.L.shape[0]
 
     @property
     def n_atoms(self):
@@ -114,9 +110,7 @@ def residual_scores(X_blocks, Y, A):
     ends = np.cumsum([B.shape[1] for B in X_blocks])[:-1]
     scores = np.empty((len(X_blocks), Y.shape[1]))
     for i, (B, A_i) in enumerate(zip(X_blocks, np.split(A.T, ends, axis=1))):
-        R = _row_products(A_i, B.T)
-        R -= Yr  # the negated residual, in place: no N x m array per class
-        scores[i] = np.sqrt(np.einsum("rm,rm->r", R, R))
+        scores[i] = _residual_norms(B, Yr, A_i)
     return scores
 
 
@@ -187,18 +181,16 @@ def score(L, alpha_fused):
     """Per-class score q = L @ alpha: the sum of fused coefficients over
     each class's atoms.
 
-    Class sums are computed with exact (correctly rounded) summation so the
-    result is independent of atom ordering.
+    Each class sum is ``math.fsum`` over Python floats (one ``tolist`` of
+    the class's coefficients), exact and correctly rounded, so the result
+    is independent of atom ordering.
     """
     alpha = as_vec(alpha_fused, "alpha_fused")
     if alpha.shape[0] != L.n_atoms:
         raise DimensionError(
             f"alpha has length {alpha.shape[0]} but label matrix has {L.n_atoms} columns"
         )
-    q = np.empty(L.n_classes)
-    for i, ix in enumerate(L.class_indices):
-        q[i] = math.fsum(alpha[ix])
-    return q
+    return np.array([math.fsum(alpha[ix].tolist()) for ix in L.class_indices])
 
 
 def split_blocks(X, class_sizes):

@@ -19,6 +19,7 @@ from .errors import (
 )
 from .linalg import (
     _frozen_array,
+    _residual_norms,
     _row_products,
     as_dictionary,
     as_mat,
@@ -100,7 +101,7 @@ class SparseCode:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
-        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
+        object.__setattr__(self, "support", tuple(np.asarray(self.support, dtype=np.intp).tolist()))
         if len(set(self.support)) != len(self.support):
             raise ParameterError("support indices must be distinct")
 
@@ -228,8 +229,9 @@ def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Greedy orthogonal matching pursuit of one sample.
 
     Per iteration: pick the atom with the largest |correlation| against the
-    current residual (ties to the lowest index), re-solve least squares on
-    the accrued support, update the residual. Stops after k atoms, when the
+    current residual (ties to the lowest index), extend the least-squares
+    fit on the accrued support, update the correlations and the residual
+    norm (explicitly near ``residual_tol``). Stops after k atoms, when the
     residual norm drops to ``residual_tol``, or when the residual has no
     correlation left with any unselected atom. The chosen atom counts as
     having no correlation left when it is numerically in the span of the
@@ -250,21 +252,22 @@ def _omp_columns(D, Y, k, residual_tol):
     Dictionary D: one SparseCode per column.
 
     The columns are pursued in lockstep, in chunks whose state fits
-    ``CHUNK_BYTES``; a column's support does not depend on the other
-    columns. ``k``, ``residual_tol`` and the unit norms are checked once.
+    ``CHUNK_BYTES`` and that share one allocation of it; a column's support
+    does not depend on the other columns. ``k``, ``residual_tol`` and the
+    unit norms are checked once.
     """
     X, G = D.X, D.G
     m, n = X.shape
     _check_unit_norms(np.sqrt(np.diag(G)))
     check_sparsity(k, m, n)
     check_param("residual_tol", residual_tol, zero_ok=True)
-    # per column: the G[S, :] and X[:, S]^T panels, the inverse factor and
-    # the n- and m-vectors of a step
-    return [
-        code
-        for cols in _chunks(Y.shape[1], 8 * (k * (n + m + k) + 3 * n + 2 * m))
-        for code in _pursue(X, G, Y[:, cols], k, residual_tol)
-    ]
+    # per column: U, L^T, z, the support and a few n- and m-vectors
+    chunks = _chunks(Y.shape[1], 8 * (k * (n + k + 2) + 2 * n + m))
+    w = min(Y.shape[1], chunks[0].stop)
+    panels = (np.empty((w, k, n)), np.empty((w, k, k)), np.empty((w, k)),
+              np.empty((w, k), dtype=np.intp))
+    return [code for cols in chunks
+            for code in _pursue(X, G, Y[:, cols], k, residual_tol, panels)]
 
 
 def _chunks(N, column_bytes):
@@ -274,90 +277,87 @@ def _chunks(N, column_bytes):
     return [slice(start, start + width) for start in range(0, N, width)]
 
 
-def _pursue(X, G, Y, k, residual_tol):
+def _pursue(X, G, Y, k, residual_tol, panels):
     """Lockstep OMP of the columns of Y (Batch-OMP, Rubinstein, Zibulevsky
-    and Elad 2008). Row r of each state array belongs to the live column
-    ``cols[r]``; a column that stops is recorded and its rows dropped.
-
-    The correlations are kept through the Gram matrix,
-    ``X^T r = X^T y - G[:, S] x_S``, and the least-squares solve holds the
-    inverse ``Linv`` of the lower Cholesky factor of ``G[S, S]``, extended
-    by one row per atom, so every step is a few stacked products over the
-    live columns: O(i^2) for the factor and the coefficients and
-    O((n + m) i) for the correlations and the residual at support size i.
-    The residual and its norm are computed explicitly from the
-    coefficients. ``X^T y`` is ``_row_products`` and every later product
-    one per column, so a column's code does not depend on the others.
+    and Elad 2008) in ``panels``, the state of at least as many columns.
+    Row r of each state array belongs to the live column ``cols[r]``; a
+    column that stops is recorded, its residual taken explicitly, and its
+    rows dropped. With L the Cholesky factor of G[S, S], a column keeps
+    L^T, z = L^-1 b_S (b = X^T y), U = L^-1 G[S, :] and its correlations
+    b - U^T z. Atom J adds v = U[:, J], d = sqrt(G[J, J] - v.v),
+    z_i = corr[J] / d and the row (G[J, :] - v^T U) / d of U, the step's
+    one product. The residual test reads ||y||^2 - ||z||^2, or the explicit
+    residual within 8 (i + 1) eps ||y||^2 of ``residual_tol``^2, where
+    rounding could decide it. The coefficients solve L^T x = z. ``X^T y``
+    and the residuals are ``_row_products`` and every other product one
+    per column, so a column's code does not depend on the others.
     """
-    m, n = X.shape
-    N = Y.shape[1]
+    n, N = G.shape[0], Y.shape[1]
+    U, LT, z, S = panels  # LT[r] holds L^T, upper triangular
     Yr = np.ascontiguousarray(Y.T)  # N x m, one sample per row
-    B = _row_products(Yr, X)  # X^T y per row
-    GS = np.empty((N, k, n))  # row t: G[S[t], :]
-    XS = np.empty((N, k, m))  # row t: X[:, S[t]]
-    Linv = np.zeros((N, k, k))
-    z = np.empty((N, k))  # Linv b[S]
-    S = np.empty((N, k), dtype=np.intp)
-    sol = np.zeros((N, 0))
-    corr, R = B, Yr
-    cols = np.arange(N)
+    corr = _row_products(Yr, X)  # X^T y per row
+    rest = np.einsum("rm,rm->r", Yr, Yr)  # ||y||^2 - ||z||^2
+    band = (8 * np.finfo(np.float64).eps) * rest  # rest's rounding per atom
+    tol2 = float(residual_tol) ** 2
+    cols = rows_all = np.arange(N)
+    codes = [None] * N
 
-    coeffs = np.zeros((N, n))
-    supports = np.empty((N, k), dtype=np.intp)
-    sizes = np.empty(N, dtype=np.intp)
-    norms = np.empty(N)
+    def solve(rows, i):
+        """The codes of the live rows ``rows`` at i atoms: L^T x = z."""
+        T, x = LT[rows, :i, :i], z[rows, :i].copy()
+        for j in range(i - 1, -1, -1):
+            x[:, j] -= np.einsum("ri,ri->r", T[:, j, j + 1:], x[:, j + 1:])
+            x[:, j] /= T[:, j, j]
+        A = np.zeros((rows.size, n))
+        A[rows_all[:rows.size, None], S[rows, :i]] = x
+        return A
 
-    def record(rows, i, rnorm):
-        c = cols[rows]
-        coeffs[c[:, None], S[rows, :i]] = sol[rows]
-        supports[c, :i] = S[rows, :i]
-        sizes[c] = i
-        norms[c] = rnorm[rows]
+    def record(rows, i):
+        A = solve(rows, i)
+        norms = _residual_norms(X, Yr[cols[rows]], A).tolist()
+        for c, a, support, norm in zip(cols[rows], A, S[rows, :i], norms):
+            codes[c] = SparseCode(coeffs=a, support=support, final_residual_norm=norm)
 
     for i in range(k):
         w = len(cols)
-        live = np.arange(w)
-        rnorm = np.sqrt(np.einsum("rm,rm->r", R, R))
+        live = rows_all[:w]
+        small = rest <= tol2
+        near = np.flatnonzero(np.abs(rest - tol2) <= (i + 1) * band)
+        if near.size:
+            small[near] = _residual_norms(X, Yr[cols[near]], solve(near, i)) <= residual_tol
         a = np.abs(corr)
         a[live[:, None], S[:w, :i]] = -1.0
         J = a.argmax(axis=1)
-        # new row of the factor: chol v = G[S, j], pivot G[j, j] - v.v
-        v = np.matmul(Linv[:w, :i, :i], G[J[:, None], S[:w, :i]][:, :, None])[:, :, 0]
+        v = U[live, :i, J]
         gjj = G[J, J]
         pivot = gjj - np.einsum("ri,ri->r", v, v)
-        stop = (rnorm <= residual_tol) | (a[live, J] <= 0.0) | (pivot <= DEPENDENT_ATOM_TOL * gjj)
+        stop = small | (a[live, J] <= 0.0) | (pivot <= DEPENDENT_ATOM_TOL * gjj)
         if stop.any():
-            record(np.flatnonzero(stop), i, rnorm)
+            record(np.flatnonzero(stop), i)
             keep = np.flatnonzero(~stop)
             w = keep.size
             if not w:
                 break
-            cols, J, v, pivot, sol, B, Yr = (x[keep] for x in (cols, J, v, pivot, sol, B, Yr))
+            cols, J, v, pivot, corr, rest, band = (
+                x[keep] for x in (cols, J, v, pivot, corr, rest, band))
             # move the kept rows up in place, one at a time, so that no
             # copy of the panels is made
             for dst, src in enumerate(keep):
                 if dst != src:
-                    for x in (GS, XS, Linv, z, S):
+                    for x in (U, LT, z, S):
                         x[dst, :i] = x[src, :i]
-            live = live[:w]
         d = np.sqrt(pivot)
-        Linv[:w, i, :i] = -np.matmul(v[:, None, :], Linv[:w, :i, :i])[:, 0, :] / d[:, None]
-        Linv[:w, i, i] = 1.0 / d
-        z[:w, i] = (B[live, J] - np.einsum("ri,ri->r", v, z[:w, :i])) / d
-        sol = np.matmul(z[:w, None, : i + 1], Linv[:w, : i + 1, : i + 1])[:, 0, :]
+        zi = corr[rows_all[:w], J] / d
+        LT[:w, :i, i] = v
+        LT[:w, i, i] = d
+        z[:w, i] = zi
         S[:w, i] = J
-        GS[:w, i] = G.T[J]
-        XS[:w, i] = X.T[J]
-        corr = B - np.matmul(sol[:, None, :], GS[:w, : i + 1])[:, 0, :]
-        R = Yr - np.matmul(sol[:, None, :], XS[:w, : i + 1])[:, 0, :]
+        U[:w, i] = (G.T[J] - np.matmul(v[:, None, :], U[:w, :i])[:, 0]) / d[:, None]
+        corr -= zi[:, None] * U[:w, i]
+        rest -= zi * zi
     else:
-        record(np.arange(len(cols)), k, np.sqrt(np.einsum("rm,rm->r", R, R)))
-
-    return [
-        SparseCode(coeffs=coeffs[c], support=supports[c, : sizes[c]],
-                   final_residual_norm=float(norms[c]))
-        for c in range(N)
-    ]
+        record(rows_all[:len(cols)], k)
+    return codes
 
 
 def l1_solve(X, y, epsilon, max_iter=DEFAULT_MAX_ITER):
@@ -463,8 +463,7 @@ def _shrink(X, Y, epsilon, max_iter, step):
         if not end.any():
             continue
         e = np.flatnonzero(end)
-        R = Yr[e] - _row_products(A[e], XT)
-        res = np.sqrt(np.einsum("rm,rm->r", R, R))
+        res = _residual_norms(X, Yr[e], A[e])
         better = res < best_res[e]
         best[e[better]] = A[e[better]]
         best_res[e[better]] = res[better]

@@ -111,6 +111,13 @@ def _row_products(A, B):
     return np.matmul(padded, B).reshape(-1, B.shape[1])[:w]
 
 
+def _residual_norms(X, Yr, A):
+    """||y - X a|| for the samples and codes in the rows of Yr and A."""
+    R = _row_products(A, X.T)
+    R -= Yr  # the negated residual, in place
+    return np.sqrt(np.einsum("rm,rm->r", R, R))
+
+
 def as_labels(labels):
     """``labels`` as an int64 array; a value that is not an integer raises
     DatasetError instead of being truncated."""

@@ -429,6 +429,59 @@ def test_omp_stops_at_residual_tol():
     assert sc.support == (2,)
 
 
+def test_omp_stop_at_an_exact_residual_takes_the_explicit_residual(monkeypatch):
+    # canonical atoms, permuted and signed, so every product has one
+    # nonzero term: after the p large entries of a sample its residual is
+    # exactly |t|, and ||y||^2 - ||z||^2 is t^2 only up to rounding. At
+    # residual_tol = |t| the pursuit falls back to the explicit residual and
+    # stops there; one ulp below |t| it takes the atom of t as well
+    rng = np.random.default_rng(31)
+    m, p, t = 12, 5, 0.25
+    X = np.eye(m)[:, rng.permutation(m)] * rng.choice([-1.0, 1.0], m)
+    atom_of_row = np.abs(X).argmax(axis=1)
+    Y = np.zeros((m, 20))
+    rows = np.array([rng.choice(m, p + 1, replace=False) for _ in range(20)])
+    for y, r in zip(Y.T, rows):
+        y[r[:p]] = rng.uniform(1.0, 3.0, p) * rng.choice([-1.0, 1.0], p)
+        y[r[p]] = t * rng.choice([-1.0, 1.0])
+    explicit = []
+    residual_norms = coders._residual_norms
+    monkeypatch.setattr(coders, "_residual_norms",
+                        lambda X_, Yr, A: explicit.append(len(Yr)) or residual_norms(X_, Yr, A))
+    D = Dictionary(X)
+    codes = _omp_columns(D, Y, m, t)
+    # the stop test's fallback, then the final residuals of the 20 columns,
+    # which all stop at the same step
+    assert len(explicit) >= 2 and explicit[-1] == 20
+    for sc, r in zip(codes, rows):
+        assert sorted(sc.support) == sorted(atom_of_row[r[:p]])
+        assert sc.final_residual_norm == t
+    for sc, r in zip(_omp_columns(D, Y, m, np.nextafter(t, 0.0)), rows):
+        assert sorted(sc.support) == sorted(atom_of_row[r])
+        assert sc.final_residual_norm == 0.0
+
+
+def test_omp_to_k_equal_m_on_a_full_rank_dictionary_is_least_squares():
+    # the small_dict benchmark's shape: 50-dimensional samples over 200
+    # training atoms, pursued to k = m, where 49 or 50 atoms are chosen
+    per_class = 23
+    ds = normalize_columns(synth(SynthSpec(C=10, ambient_dim=50, subspace_dim=5,
+                                           per_class=per_class, noise_sigma=0.2, seed=1)))
+    is_train = np.arange(ds.n) % per_class < 20
+    X, Y = ds.X[:, is_train], np.asfortranarray(ds.X[:, ~is_train])
+    codes = _omp_columns(Dictionary(X), Y, 50, coders.DEFAULT_RESIDUAL_TOL)
+    sizes = set()
+    for y, sc in zip(Y.T, codes):
+        S = list(sc.support)
+        sizes.add(len(S))
+        ls = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
+        assert np.abs(sc.coeffs[S] - ls).max() <= 1e-9 * np.abs(ls).max()
+        assert np.count_nonzero(sc.coeffs) == len(S)
+        assert sc.final_residual_norm == pytest.approx(np.linalg.norm(y - X @ sc.coeffs),
+                                                       rel=1e-12, abs=1e-14)
+    assert sizes == {49, 50}
+
+
 def test_omp_input_validation():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((6, 4))  # not normalized
@@ -614,9 +667,9 @@ def test_omp_columns_do_not_depend_on_order_batch_or_chunks(case, data):
     for budget in budgets:
         widths = []
 
-        def pursue(X_, G, Y_, k_, tol):
+        def pursue(X_, G, Y_, *rest):
             widths.append(Y_.shape[1])
-            return real_pursue(X_, G, Y_, k_, tol)
+            return real_pursue(X_, G, Y_, *rest)
 
         real_pursue = coders._pursue
         with pytest.MonkeyPatch.context() as mp:
@@ -1091,6 +1144,31 @@ def test_dense_and_sa_columns_do_not_depend_on_the_batch_at_realistic_shapes(
         alone = state.decide(code, y)
         assert np.array_equal(batch_scores, alone.scores)
         assert predicted[c] == alone.predicted_class
+
+
+@pytest.mark.parametrize("method", ["src", "crc", "procrc", "sa_crc", "sa_procrc"])
+@pytest.mark.parametrize("C, m, s, sigma, train, test", [
+    (10, 50, 5, 0.2, 20, 3),  # the small_dict benchmark
+    (38, 504, 9, 0.1, 32, 1),  # the Yale-B shape
+])
+def test_decisions_do_not_depend_on_atom_order(method, C, m, s, sigma, train, test):
+    # the training atoms of each class permuted: every decision is the same
+    # (src on its first 4 test samples)
+    per_class = train + test
+    for seed in (1, 2):
+        ds = normalize_columns(synth(SynthSpec(C=C, ambient_dim=m, subspace_dim=s,
+                                               per_class=per_class, noise_sigma=sigma,
+                                               seed=seed)))
+        is_train = np.arange(ds.n) % per_class < train
+        X, labels = ds.X[:, is_train], ds.labels[is_train]
+        Y = np.asfortranarray(ds.X[:, ~is_train][:, :4 if method == "src" else None])
+        rng = np.random.default_rng(seed)
+        perm = np.concatenate([c * train + rng.permutation(train) for c in range(C)])
+        predicted = []
+        for order in (np.arange(X.shape[1]), perm):
+            state = fit_method(method, Dataset(X=X[:, order], labels=labels[order], C=C))
+            predicted.append(state.decide_all(state.compute_codes(Y), Y)[0])
+        assert np.array_equal(*predicted)
 
 
 def test_l1_columns_warn_once_for_the_column_that_misses_epsilon():
