@@ -56,6 +56,7 @@ from .errors import (
     ConfigError,
     DatasetError,
     DegenerateFusionError,
+    DimensionError,
     RclsError,
 )
 from .linalg import Dictionary, as_sample, as_samples, check_integer, check_param
@@ -215,7 +216,9 @@ class FittedSa:
 
     def decide_all(self, codes, Y):
         """Predicted classes (1-based) and exact-tie flags, one ``decide``
-        per sample."""
+        per sample; one code per column of Y, or DimensionError."""
+        if len(codes) != Y.shape[1]:
+            raise DimensionError(f"{len(codes)} codes for {Y.shape[1]} samples")
         decisions = [self.decide(code, y) for code, y in zip(codes, Y.T)]
         return (
             np.array([d.predicted_class for d in decisions]),

@@ -80,17 +80,14 @@ def _build_parser():
     p.add_argument("--method", required=True, choices=METHODS)
     _add_method_params(p)
 
-    p = sub.add_parser("bench", help="run a repeated-trial experiment from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-csv")
-    p.add_argument("--out-text")
-
-    p = sub.add_parser(
-        "compare", help="run several methods over identical splits and tabulate"
-    )
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-csv")
-    p.add_argument("--out-text")
+    for name, what in (
+        ("bench", "run a repeated-trial experiment from a config"),
+        ("compare", "run several methods over identical splits and tabulate"),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out-csv")
+        p.add_argument("--out-text")
 
     p = sub.add_parser(
         "diag",
@@ -159,26 +156,25 @@ def _cmd_classify(args):
     return 0
 
 
+def _write_outputs(args, text, csv_text):
+    """Print ``text``, and write it to ``--out-text`` and ``csv_text`` to
+    ``--out-csv`` when they are given."""
+    sys.stdout.write(text)
+    for path, body in ((args.out_csv, csv_text), (args.out_text, text)):
+        if path:
+            atomic_write_bytes(path, body.encode("utf-8"))
+
+
 def _cmd_bench(args):
-    cfg = load_experiment_config(args.config)
-    report = run_experiment(cfg)
-    sys.stdout.write(report_text(report))
-    if args.out_csv:
-        atomic_write_bytes(args.out_csv, report_csv(report).encode("utf-8"))
-    if args.out_text:
-        atomic_write_bytes(args.out_text, report_text(report).encode("utf-8"))
+    report = run_experiment(load_experiment_config(args.config))
+    _write_outputs(args, report_text(report), report_csv(report))
     print(f"# timing {stage_summary(report.stage_seconds)}", file=sys.stderr)
     return 0
 
 
 def _cmd_compare(args):
-    cfgs = load_compare_configs(args.config)
-    reports = compare_methods(cfgs)
-    sys.stdout.write(comparison_text(reports))
-    if args.out_csv:
-        atomic_write_bytes(args.out_csv, comparison_csv(reports).encode("utf-8"))
-    if args.out_text:
-        atomic_write_bytes(args.out_text, comparison_text(reports).encode("utf-8"))
+    reports = compare_methods(load_compare_configs(args.config))
+    _write_outputs(args, comparison_text(reports), comparison_csv(reports))
     for rep in reports:
         print(
             f"# timing {rep.config.method} {stage_summary(rep.stage_seconds)}",

@@ -49,7 +49,9 @@ CHUNK_BYTES = 8 << 20
 def _project(M, y):
     """``M @ y`` for a column-major n x m solve operator: a 1-D sample's code
     (``as_sample``) or the codes of the columns of a matrix (``as_samples``),
-    as one ``_row_products`` of the samples as rows and ``M^T``."""
+    as one ``_row_products`` of the samples as rows and ``M^T``. Only the
+    projectors lay M out, so that M^T is read by rows; an m < n fit's M, an
+    ``spd_solve`` result transposed, already is column-major."""
     Y = (as_sample if np.ndim(y) == 1 else as_samples)(y, M.shape[1])
     return _row_products(Y.T, M.T).T.reshape(M.shape[0], *np.shape(y)[1:])
 
@@ -129,7 +131,7 @@ def _ridge_operator(D, lam):
         A = X @ X.T  # one syrk: exactly symmetric
         A[np.diag_indices(m)] += lam
         return spd_solve(A, X).T
-    A = np.array(D.G, order="F")
+    A = np.array(D.G)
     A[np.diag_indices(n)] += lam
     return spd_solve(A, X.T)
 
@@ -153,7 +155,7 @@ def _gram_sum(G, slices):
     S = (len(slices) - 2.0) * G
     for sl in slices:
         S[sl, sl] += G[sl, sl]
-    return np.asfortranarray(S)
+    return S
 
 
 def fit_procrc(X, class_sizes, lam, gamma):

@@ -1,7 +1,8 @@
 """Dataset ingestion, normalization, random projection, splitting, synthesis.
 
-Samples are stored as columns of a column-major float64 matrix. Labels are
-dense 1..C integers; files with arbitrary integer labels are remapped in
+Samples are stored as columns of a column-major float64 matrix, laid out
+by ``Dataset`` alone (through ``linalg.as_mat``). Labels are dense 1..C
+integers; files with arbitrary integer labels are remapped in
 first-appearance order and the mapping is recorded.
 
 All randomized operations draw from numpy's default generator (PCG64),
@@ -198,7 +199,7 @@ def load_csv(path):
         raise ParseError(f"{path}: no data rows")
     mapping = tuple(dict.fromkeys(raw_labels))
     dense = {lab: c for c, lab in enumerate(mapping, start=1)}
-    X = np.asfortranarray(np.array(rows, dtype=np.float64).T)
+    X = np.array(rows, dtype=np.float64).T
     return Dataset(
         X=X,
         labels=np.array([dense[lab] for lab in raw_labels], dtype=np.int64),
@@ -266,7 +267,7 @@ def load_bin(path):
             offset=end,
         )
     values = np.frombuffer(blob, dtype="<f8", count=m * n, offset=payload_at)
-    X = np.asfortranarray(values.reshape((m, n), order="F"))
+    X = values.reshape((m, n), order="F")
     if labels.min() < 1 or labels.max() > C:
         bad = int(np.flatnonzero((labels < 1) | (labels > C))[0])
         raise FormatError(
@@ -282,7 +283,7 @@ def save_bin(dataset, path):
         "<IIII", BIN_VERSION, dataset.m, dataset.n, dataset.C
     )
     labels = np.ascontiguousarray(dataset.labels, dtype="<u4").tobytes()
-    values = np.asfortranarray(dataset.X, dtype="<f8").tobytes(order="F")
+    values = np.asarray(dataset.X, dtype="<f8").tobytes(order="F")
     atomic_write_bytes(path, header + labels + values)
 
 
@@ -292,7 +293,7 @@ def normalize_columns(dataset):
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"column {int(zero[0])} is zero and cannot be normalized")
-    return replace(dataset, X=np.asfortranarray(dataset.X / norms[None, :]))
+    return replace(dataset, X=dataset.X / norms[None, :])
 
 
 def random_project(dataset, target_dim, seed):
@@ -306,7 +307,7 @@ def random_project(dataset, target_dim, seed):
         )
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((target_dim, dataset.m)) / np.sqrt(target_dim)
-    return replace(dataset, X=np.asfortranarray(R @ dataset.X))
+    return replace(dataset, X=R @ dataset.X)
 
 
 def split(dataset, per_class_train, seed):
@@ -357,13 +358,10 @@ def synth(spec):
             block = block + spec.noise_sigma * rng.standard_normal(block.shape)
         blocks.append(block)
         labels.extend([c] * spec.per_class)
-    X = np.asfortranarray(np.hstack(blocks))
-    return Dataset(X=X, labels=np.array(labels, dtype=np.int64), C=spec.C)
+    return Dataset(X=np.hstack(blocks), labels=np.array(labels, dtype=np.int64), C=spec.C)
 
 
 def take_columns(dataset, indices):
     """Sub-dataset of the given columns, in the given order."""
     indices = np.asarray(indices, dtype=np.int64)
-    return replace(
-        dataset, X=np.asfortranarray(dataset.X[:, indices]), labels=dataset.labels[indices]
-    )
+    return replace(dataset, X=dataset.X[:, indices], labels=dataset.labels[indices])

@@ -1,10 +1,12 @@
 """Dense linear algebra: checked arrays and dictionaries, Gram, SPD solves.
 
-Everything is 64-bit floating point. Matrices are stored column-major so a
-sample (one column) is contiguous; test samples are multiplied as rows
-(``_row_products``). Everything runs on numpy alone: an SPD system is
-solved through its Cholesky factor L, by GEMMs with L^-1 (``spd_solve``);
-the inverse of the system matrix is never formed.
+Everything is 64-bit floating point. A layout is chosen once, by the
+array's owner: ``as_mat`` and ``as_samples`` store samples column-major so
+one (a column) is contiguous, and test samples are multiplied as rows
+(``_row_products``); other results keep the layout their products give.
+Everything runs on numpy alone: an SPD system is solved through its
+Cholesky factor L, by GEMMs with L^-1 (``spd_solve``); the inverse of the
+system matrix is never formed.
 """
 
 import functools
@@ -174,10 +176,11 @@ def gram(X):
 
     numpy computes ``X.T @ X`` of one buffer with a symmetric rank-k update
     (BLAS syrk) and copies one triangle into the other, so the result is
-    exactly symmetric (bitwise equal across the diagonal).
+    exactly symmetric (bitwise equal across the diagonal). Its transpose,
+    a view, is then the same matrix column-major, like X, with no copy.
     """
     X = as_mat(X, "X")
-    return np.asfortranarray(X.T @ X)
+    return (X.T @ X).T
 
 
 def spd_solve(A, B):
@@ -197,8 +200,8 @@ def spd_solve(A, B):
     fails the check. A system that is not positive definite raises
     SingularMatrixError naming its failing pivot. The operands are scanned
     for non-finite entries (DataError) only when the solve fails, since a
-    non-finite entry makes it fail. A 2-D call returns a column-major
-    matrix.
+    non-finite entry makes it fail. S has the layout the GEMMs give it
+    (row-major); a caller that needs another layout makes it.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
@@ -226,21 +229,17 @@ def spd_solve(A, B):
     # overflow and NaN show as a residual that fails the check, not as
     # RuntimeWarnings; the residual must be finite also when ||B|| is not
     with np.errstate(over="ignore", invalid="ignore"):
-        # the transposed solve, S^T = B^T L^-T L^-1, so that a 2-D S comes
-        # out column-major
         inv = _tril_inverse(L)
         invT = np.swapaxes(inv, -1, -2)
-        Bt = np.swapaxes(B, -1, -2)
-        At = np.swapaxes(A, -1, -2)
-        St = (Bt @ invT) @ inv
-        norm_b = _frobenius(Bt)
+        S = invT @ (inv @ B)
+        norm_b = _frobenius(B)
         bound = SOLVE_RTOL * norm_b
-        resid = Bt - St @ At
+        resid = B - A @ S
         norm = _frobenius(resid)
         bad = ~(np.isfinite(norm) & (norm <= bound))
         if bad.any():
-            St = np.where(bad[..., None, None], St + (resid @ invT) @ inv, St)
-            norm = _frobenius(Bt - St @ At)
+            S = np.where(bad[..., None, None], S + invT @ (inv @ resid), S)
+            norm = _frobenius(B - A @ S)
             bad = ~(np.isfinite(norm) & (norm <= bound))
             if bad.any():
                 index = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
@@ -248,7 +247,7 @@ def spd_solve(A, B):
                     f"{_system(index)}SPD solve residual exceeds tolerance after "
                     f"refinement ({norm[index]:.3e} > {SOLVE_RTOL:.0e} * {norm_b[index]:.3e})"
                 ))
-    return np.swapaxes(St, -1, -2)
+    return S
 
 
 def _system(index):

@@ -361,6 +361,17 @@ def test_wrong_length_test_sample_raises_dimension_error(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_decide_all_needs_one_code_per_sample(method):
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    Y = np.random.default_rng(9).standard_normal((train.m, 3))
+    codes = state.compute_codes(Y)
+    for wrong in (Y[:, :2], np.hstack([Y, Y])):  # fewer and more samples than codes
+        with pytest.raises(DimensionError):
+            state.decide_all(codes, wrong)
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("bad, error", [
     (0.0, ParameterError), (np.nan, DataError), (np.inf, DataError),
 ])

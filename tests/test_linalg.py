@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from rcls import linalg
+from rcls import coders, data, linalg
 from rcls.errors import DataError, DimensionError, NumericalError, SingularMatrixError
 from rcls.linalg import Dictionary, as_dictionary, as_mat, as_vec, gram, spd_solve
 
@@ -150,9 +150,43 @@ def test_spd_solve_stack_solves_each_system_as_alone():
         spd_solve(A, B[:3])
 
 
-def test_spd_solve_returns_a_column_major_matrix():
+def test_each_array_layout_has_one_owner(tmp_path, monkeypatch):
+    # spd_solve returns the layout its GEMMs give; Dataset lays out
+    # samples, gram its G and the projectors their operators, each once
     S = spd_solve(np.eye(3) + 0.1, np.ones((3, 5)))
-    assert S.shape == (3, 5) and S.dtype == np.float64 and S.flags.f_contiguous
+    assert S.shape == (3, 5) and S.dtype == np.float64
+
+    rng = np.random.default_rng(8)
+    ds = data.Dataset(X=np.ascontiguousarray(rng.standard_normal((6, 8))),
+                      labels=[1, 1, 1, 1, 2, 2, 2, 2], C=2)
+    data.save_csv(ds, tmp_path / "d.csv")
+    data.save_bin(ds, tmp_path / "d.rcls")
+    made = [
+        ds,
+        data.load_csv(tmp_path / "d.csv"),
+        data.load_bin(tmp_path / "d.rcls"),
+        data.synth(data.SynthSpec(C=2, ambient_dim=6, subspace_dim=2, per_class=4)),
+        data.normalize_columns(ds),
+        data.random_project(ds, 4, seed=1),
+        data.take_columns(ds, [7, 0, 3]),
+    ]
+    assert all(d.X.flags.f_contiguous for d in made)
+
+    X = ds.X
+    G = Dictionary(X).G
+    assert G.flags.f_contiguous and np.array_equal(G, G.T)
+    assert G.tobytes() == (X.T @ X).tobytes()
+
+    solved = []
+    monkeypatch.setattr(coders, "spd_solve",
+                        lambda A, B: solved.append(spd_solve(A, B)) or solved[-1])
+    for m, n in ((6, 8), (8, 6)):
+        X = rng.standard_normal((m, n))
+        for fit in (lambda: coders.fit_crc(X, 0.1).P,
+                    lambda: coders.fit_procrc(X, (n // 2, n - n // 2), 0.1, 0.5).T):
+            op = fit()
+            assert op.flags.f_contiguous
+            assert np.shares_memory(op, solved[-1]) == (m < n)
 
 
 def test_spd_solve_is_a_numerical_error():
