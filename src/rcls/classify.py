@@ -2,7 +2,7 @@
 
 Class-wise residual rules for the coder baselines, and the
 fuse-then-score rule that sums a unit-normalized augmented coefficient per
-class through the one-hot label matrix.
+class over the nonzero columns of the paper's one-hot label matrix.
 """
 
 import math
@@ -11,35 +11,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DatasetError,
     DegenerateDecisionError,
     DegenerateFusionError,
     DimensionError,
 )
-from .linalg import _frozen_array, _residual_norms, as_labels, as_sample, as_vec, class_slices
+from .linalg import _frozen_array, _residual_norms, as_sample, as_vec, check_labels, class_slices
 
 
 @dataclass(frozen=True)
 class LabelMatrix:
-    """C x n one-hot label matrix.
-
-    Column j carries a single 1 in the row of sample j's class. Class
-    indices are 1-based; ``class_indices[i]`` holds the 0-based atom indices
-    of class i+1.
+    """The paper's C x n one-hot label matrix L, held as the nonzero
+    columns of its rows: ``class_indices[i]`` holds the 0-based indices of
+    the atoms of class i+1, where row i of L is 1. ``n_atoms`` is n.
     """
 
-    L: np.ndarray
     class_indices: tuple
+    n_atoms: int
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _frozen_array(self.L))
         object.__setattr__(
             self, "class_indices", tuple(_frozen_array(ix) for ix in self.class_indices)
         )
-
-    @property
-    def n_atoms(self):
-        return self.L.shape[1]
 
 
 @dataclass(frozen=True)
@@ -60,21 +52,11 @@ class ClassDecision:
 
 
 def build_label_matrix(labels, C):
-    """Build the one-hot label matrix for dense 1..C labels."""
-    labels = as_labels(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise DatasetError("labels must be a nonempty 1-D sequence")
-    if labels.min() < 1 or labels.max() > C:
-        bad = labels[(labels < 1) | (labels > C)][0]
-        raise DatasetError(f"label {bad} outside 1..{C}")
-    n = labels.size
-    L = np.zeros((C, n))
-    L[labels - 1, np.arange(n)] = 1.0
+    """The label matrix of dense labels, after ``linalg.check_labels``,
+    the check that ``Dataset`` makes too."""
+    labels = check_labels(labels, C)
     indices = tuple(np.flatnonzero(labels == c) for c in range(1, C + 1))
-    for c, ix in enumerate(indices, start=1):
-        if ix.size == 0:
-            raise DatasetError(f"class {c} has no samples")
-    return LabelMatrix(L=L, class_indices=indices)
+    return LabelMatrix(class_indices=indices, n_atoms=labels.size)
 
 
 def _winners(scores, best):
@@ -194,7 +176,9 @@ def score(L, alpha_fused):
 
 
 def split_blocks(X, class_sizes):
-    """Views of X's contiguous per-class column blocks."""
+    """Views of X's contiguous per-class column blocks; X must be 2-D."""
     X = np.asarray(X)
+    if X.ndim != 2:
+        raise DimensionError(f"X must be 2-D, got ndim={X.ndim}")
     n = X.shape[1]
     return [X[:, sl] for sl in class_slices(class_sizes, n, f"X has {n} columns")]

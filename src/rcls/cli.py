@@ -118,12 +118,6 @@ def _group_by_class(ds):
     return take_columns(ds, order)
 
 
-def _original_label(ds, dense_label):
-    if ds.label_mapping is not None:
-        return ds.label_mapping[dense_label - 1]
-    return int(dense_label)
-
-
 def _cmd_synth(args):
     spec = SynthSpec(
         C=args.classes,
@@ -149,9 +143,9 @@ def _cmd_classify(args):
     predicted = state.decide_all(state.compute_codes(test.X), test.X)[0]
     correct = 0
     for j, dense_label in enumerate(predicted):
-        label = _original_label(train, int(dense_label))
+        label = train.original_label(dense_label)
         print(label)
-        correct += label == _original_label(test, int(test.labels[j]))
+        correct += label == test.original_label(test.labels[j])
     print(f"accuracy: {100.0 * correct / test.n:.2f}")
     return 0
 
@@ -201,8 +195,8 @@ def _cmd_diag(args):
     )
     y = ds.X[:, i] / nrm
     decision, written = dump_diagnostics(state, y, args.out_dir)
-    true_label = _original_label(ds, int(ds.labels[i]))
-    predicted = _original_label(ds, decision.predicted_class)
+    true_label = ds.original_label(ds.labels[i])
+    predicted = ds.original_label(decision.predicted_class)
     print(f"sample {i}: true class {true_label}, predicted {predicted}")
     for path in written.values():
         print(f"wrote {path}")

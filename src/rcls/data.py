@@ -11,6 +11,7 @@ seeded explicitly, so every result is a pure function of (inputs, seed).
 
 import csv
 import math
+import numbers
 import os
 import secrets
 import struct
@@ -25,7 +26,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .linalg import _frozen_array, as_labels, as_mat, check_integer, check_param
+from .linalg import _frozen_array, as_mat, check_integer, check_labels, check_param
 
 BIN_MAGIC = b"RCLS"
 BIN_VERSION = 1
@@ -35,8 +36,11 @@ BIN_VERSION = 1
 class Dataset:
     """Feature matrix X (m x n, columns are samples) with 1..C labels.
 
-    ``label_mapping[i]`` records the original label value that was remapped
-    to dense label i+1, when the dataset came from a file.
+    C and the labels pass ``linalg.check_labels``, the check that
+    ``build_label_matrix`` makes too, and there is one label per sample.
+    ``label_mapping`` is None or a tuple of C distinct integers:
+    ``label_mapping[i]`` is the file's label that was remapped to dense
+    label i+1 (see ``original_label``).
     """
 
     X: np.ndarray
@@ -45,22 +49,31 @@ class Dataset:
     label_mapping: tuple | None = None
 
     def __post_init__(self):
-        check_integer("C", self.C, 1, DatasetError)
+        labels = check_labels(self.labels, self.C)
         X = as_mat(self.X, "X")
-        labels = as_labels(self.labels)
-        if labels.ndim != 1 or labels.size != X.shape[1]:
+        if labels.size != X.shape[1]:
             raise DatasetError(
                 f"need one label per sample: {labels.size} labels, "
                 f"{X.shape[1]} samples"
             )
-        if labels.min() < 1 or labels.max() > self.C:
-            raise DatasetError(f"labels must lie in 1..{self.C}")
-        counts = np.bincount(labels, minlength=self.C + 1)
-        if (counts[1:self.C + 1] == 0).any():
-            missing = int(np.flatnonzero(counts[1:self.C + 1] == 0)[0]) + 1
-            raise DatasetError(f"class {missing} has no samples")
+        mapping = self.label_mapping
+        if mapping is not None and not (
+            isinstance(mapping, tuple)
+            and len(mapping) == self.C
+            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in mapping)
+            and len(set(mapping)) == self.C
+        ):
+            raise DatasetError(
+                f"label_mapping must be None or a tuple of {self.C} distinct "
+                f"integers, got {mapping!r}"
+            )
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "labels", _frozen_array(labels))
+
+    def original_label(self, label):
+        """The file's label for dense label ``label`` (1..C): its
+        ``label_mapping`` entry, or ``label`` itself without a mapping."""
+        return int(label) if self.label_mapping is None else self.label_mapping[label - 1]
 
     @property
     def m(self):
@@ -214,10 +227,8 @@ def save_csv(dataset, path):
     when a mapping is recorded."""
     lines = []
     for j in range(dataset.n):
-        lab = int(dataset.labels[j])
-        if dataset.label_mapping is not None:
-            lab = dataset.label_mapping[lab - 1]
-        fields = [str(lab)] + [repr(float(v)) for v in dataset.X[:, j]]
+        fields = [str(dataset.original_label(dataset.labels[j]))]
+        fields += [repr(float(v)) for v in dataset.X[:, j]]
         lines.append(",".join(fields))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -362,6 +373,21 @@ def synth(spec):
 
 
 def take_columns(dataset, indices):
-    """Sub-dataset of the given columns, in the given order."""
-    indices = np.asarray(indices, dtype=np.int64)
-    return replace(dataset, X=dataset.X[:, indices], labels=dataset.labels[indices])
+    """Sub-dataset of the given columns, in the given order. Each index is
+    an integer (not a bool) in 0..n-1; DatasetError names the first entry
+    that is not."""
+    ix = indices if isinstance(indices, np.ndarray) else np.array(indices, dtype=object)
+    n = dataset.n
+    if ix.dtype.kind in "iu":
+        ok = (ix >= 0) & (ix < n)
+    else:
+        ok = np.array([isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                       and 0 <= i < n for i in ix.flat], dtype=bool).reshape(ix.shape)
+    if not ok.all():
+        p = int(np.flatnonzero(~ok)[0])
+        raise DatasetError(
+            f"column index {ix.ravel().tolist()[p]!r} (entry {p}) is not an "
+            f"integer in 0..{n - 1}"
+        )
+    ix = ix.astype(np.int64, copy=False)
+    return replace(dataset, X=dataset.X[:, ix], labels=dataset.labels[ix])

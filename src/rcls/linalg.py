@@ -120,9 +120,13 @@ def _residual_norms(X, Yr, A):
     return np.sqrt(np.einsum("rm,rm->r", R, R))
 
 
-def as_labels(labels):
-    """``labels`` as an int64 array; a value that is not an integer raises
-    DatasetError instead of being truncated."""
+def check_labels(labels, C):
+    """The one check of dense labels: ``labels`` as an int64 array when C
+    is an integer >= 1 and the labels are a nonempty 1-D vector of
+    integers in 1..C in which every class appears; DatasetError, naming
+    the first bad value, otherwise. A label such as 1.7 is rejected, not
+    truncated."""
+    check_integer("C", C, 1, DatasetError)
     a = np.asarray(labels)
     if a.dtype.kind not in "biu":
         f = a.astype(np.float64)
@@ -130,7 +134,16 @@ def as_labels(labels):
         if bad.any():
             raise DatasetError(f"label {a[bad].flat[0]} is not an integer")
         a = f
-    return a.astype(np.int64, copy=False)
+    labels = a.astype(np.int64, copy=False)
+    if labels.ndim != 1 or labels.size == 0:
+        raise DatasetError("labels must be a nonempty 1-D sequence")
+    outside = (labels < 1) | (labels > C)
+    if outside.any():
+        raise DatasetError(f"label {labels[outside][0]} outside 1..{C}")
+    empty = np.bincount(labels, minlength=C + 1)[1:] == 0
+    if empty.any():
+        raise DatasetError(f"class {int(np.flatnonzero(empty)[0]) + 1} has no samples")
+    return labels
 
 
 def check_param(name, value, zero_ok=False, error=ParameterError):

@@ -40,14 +40,29 @@ def classify_one(state, y):
     return state.decide(state.compute_code(y), y)
 
 
+def one_hot(labels, C):
+    """The paper's C x n label matrix, built independently of rcls."""
+    return np.eye(C)[np.asarray(labels, dtype=np.int64) - 1].T
+
+
+def dense_rows(L):
+    """The C x n matrix whose rows are 1 exactly at ``L.class_indices``."""
+    M = np.zeros((len(L.class_indices), L.n_atoms))
+    for i, ix in enumerate(L.class_indices):
+        M[i, ix] = 1.0
+    return M
+
+
 def test_build_label_matrix_basic():
     L = build_label_matrix([1, 1, 2], 2)
-    assert np.array_equal(L.L, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert np.array_equal(dense_rows(L), np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert L.n_atoms == 3
+    assert [ix.tolist() for ix in L.class_indices] == [[0, 1], [2]]
 
 
 def test_build_label_matrix_identity_case():
     L = build_label_matrix([1, 2, 3], 3)
-    assert np.array_equal(L.L, np.eye(3))
+    assert np.array_equal(dense_rows(L), np.eye(3))
 
 
 def test_build_label_matrix_counting_oracle():
@@ -55,8 +70,9 @@ def test_build_label_matrix_counting_oracle():
     labels = np.repeat(np.arange(1, 5), 5)
     rng.shuffle(labels)
     L = build_label_matrix(labels, 4)
-    assert np.array_equal(L.L.sum(axis=1), np.full(4, 5.0))
-    assert np.array_equal(L.L.sum(axis=0), np.ones(20))
+    assert np.array_equal(dense_rows(L), one_hot(labels, 4))
+    assert np.array_equal(dense_rows(L).sum(axis=1), np.full(4, 5.0))
+    assert np.array_equal(dense_rows(L).sum(axis=0), np.ones(20))
     for c in range(1, 5):
         assert np.array_equal(L.class_indices[c - 1], np.flatnonzero(labels == c))
 
@@ -73,7 +89,37 @@ def test_build_label_matrix_errors():
     for labels in ([[1, 2]], []):
         with pytest.raises(DatasetError, match="labels must be a nonempty 1-D sequence"):
             build_label_matrix(labels, 2)
-    assert np.array_equal(build_label_matrix([1.0, 2.0], 2).L, np.eye(2))
+    for C in (2.0, True, None, "2"):
+        with pytest.raises(DatasetError, match=f"C must be an integer >= 1, got {C!r}"):
+            build_label_matrix([1, 2], C)
+    assert np.array_equal(dense_rows(build_label_matrix([1.0, 2.0], 2)), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "labels, C",
+    [
+        ([1, 2], 2.0),
+        ([1, 2], True),
+        ([1, 2], None),
+        ([1, 2], "2"),
+        ([1, 3], 2),
+        ([0, 1], 2),
+        ([1, 1, 3], 3),
+        ([1.5, 2.0], 2),
+        ([[1, 2]], 2),
+        ([], 2),
+    ],
+    ids=["C-float", "C-bool", "C-None", "C-str", "label-above-C", "label-0",
+         "class-missing", "label-not-integer", "labels-2-D", "labels-empty"],
+)
+def test_every_entry_point_gives_the_same_label_error(labels, C):
+    n = max(np.size(labels), 1)
+    with pytest.raises(DatasetError) as from_dataset:
+        Dataset(X=np.ones((2, n)), labels=labels, C=C)
+    with pytest.raises(DatasetError) as from_matrix:
+        build_label_matrix(labels, C)
+    assert type(from_dataset.value) is type(from_matrix.value)
+    assert str(from_dataset.value) == str(from_matrix.value)
 
 
 def test_classify_residual_exact_reconstruction():
@@ -261,7 +307,7 @@ def test_classify_sa_matches_step_replay_oracle():
     n = sum(sizes)
     X = unit_columns(rng, 9, n)
     labels = np.repeat([1, 2, 3], sizes)
-    L = build_label_matrix(labels, 3)
+    L = one_hot(labels, 3)
     lam, gamma, k = 0.001, 0.5, 4
     state = fit_sa(X, labels, lam=lam, gamma=gamma, k=k)
     for _ in range(5):
@@ -290,7 +336,7 @@ def test_classify_sa_matches_step_replay_oracle():
         sparse = np.zeros(n)
         sparse[support] = sol
         fused = (sparse + dense) / np.linalg.norm(sparse + dense)
-        q_ref = L.L @ fused
+        q_ref = L @ fused
 
         assert d.predicted_class == int(np.argmax(q_ref)) + 1
         assert np.allclose(d.scores, q_ref, rtol=1e-10, atol=1e-12)
@@ -303,14 +349,14 @@ def test_classify_sa_full_support_orthonormal_self_consistency():
     rng = np.random.default_rng(11)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 6)))
     labels = [1, 1, 2, 2, 3, 3]
-    L = build_label_matrix(labels, 3)
+    L = one_hot(labels, 3)
     state = fit_sa(Q, labels, lam=0.001, gamma=0.5, k=6)
     y = rng.standard_normal(8)
     d = classify_one(state, y)
     sparse_full = Q.T @ y
     dense = state.projector.code(y)
     fused = (sparse_full + dense) / np.linalg.norm(sparse_full + dense)
-    q_ref = L.L @ fused
+    q_ref = L @ fused
     assert d.predicted_class == int(np.argmax(q_ref)) + 1
     assert np.allclose(d.scores, q_ref, rtol=1e-10, atol=1e-12)
 
@@ -374,3 +420,6 @@ def test_split_blocks_views_and_validation():
     for sizes in ([-1, 5], [0, 4], [2.9, 1.1]):
         with pytest.raises(DatasetError, match="size of class 1 must be an integer >= 1"):
             split_blocks(X, sizes)
+    for bad in (np.ones(3), np.ones((1, 3, 1))):
+        with pytest.raises(DimensionError, match=f"X must be 2-D, got ndim={bad.ndim}"):
+            split_blocks(bad, [3])

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import struct
 
@@ -45,7 +46,7 @@ def test_dataset_validation():
         Dataset(X=X, labels=[1, 2], C=2)
     with pytest.raises(DatasetError):
         Dataset(X=X, labels=[0, 1, 2], C=2)
-    with pytest.raises(DatasetError, match="labels must lie in 1..2"):
+    with pytest.raises(DatasetError, match=r"label -1 outside 1\.\.2"):
         Dataset(X=X, labels=[1, -1, 2], C=2)
     with pytest.raises(DatasetError):
         Dataset(X=X, labels=[1, 1, 3], C=3)
@@ -84,6 +85,42 @@ def test_take_columns_reorders():
     sub = take_columns(ds, [2, 1, 0])
     assert np.array_equal(sub.labels, [1, 2, 1])
     assert sub.X[2, 0] == 3.0 and sub.X[0, 2] == 1.0
+
+
+def test_take_columns_rejects_indices_that_are_not_columns():
+    ds = Dataset(X=np.eye(4), labels=[1, 2, 1, 2], C=2)
+    for indices, bad, entry in (
+        ([0.9, 2.2], "0.9", 0),
+        ([True, False], "True", 0),
+        ([0, True], "True", 1),
+        (np.array([1.0, 2.0]), "1.0", 0),
+        (np.array([False, True]), "False", 0),
+        ([1, -1], "-1", 1),
+        ([7], "7", 0),
+        (np.array([3, 4]), "4", 1),
+        (["1"], "'1'", 0),
+    ):
+        with pytest.raises(
+            DatasetError,
+            match=rf"column index {re.escape(bad)} \(entry {entry}\) is not an integer in 0\.\.3",
+        ):
+            take_columns(ds, indices)
+    for indices in ([3, 0], np.array([3, 0], dtype=np.uint8), (np.int64(3), 0)):
+        assert take_columns(ds, indices).labels.tolist() == [2, 1]
+
+
+def test_label_mapping_is_none_or_c_distinct_integers(tmp_path):
+    X = np.eye(2)
+    for mapping in ((5,), (5, 5), ("a", "b"), [5, 6], (True, 2), (5, 6, 7), (5.0, 6.0)):
+        with pytest.raises(DatasetError, match="label_mapping must be None or a tuple of 2 distinct"):
+            Dataset(X=X, labels=[1, 2], C=2, label_mapping=mapping)
+    ds = Dataset(X=X, labels=[1, 2], C=2, label_mapping=(5, np.int64(9)))
+    assert [ds.original_label(c) for c in (1, 2)] == [5, 9]
+    save_csv(ds, tmp_path / "mapped.csv")
+    back = load_csv(tmp_path / "mapped.csv")
+    assert back.label_mapping == (5, 9) and back.labels.tolist() == [1, 2]
+    assert np.array_equal(back.X, X)
+    assert Dataset(X=X, labels=[1, 2], C=2).original_label(np.int64(2)) == 2
 
 
 # ---------------------------------------------------------------- CSV
