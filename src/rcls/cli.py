@@ -42,7 +42,7 @@ from .data import (
     synth,
     take_columns,
 )
-from .errors import DataError, NumericalError, ParameterError, RclsError
+from .errors import DataError, DatasetError, NumericalError, ParameterError, RclsError
 
 
 class _UsageError(Exception):
@@ -136,16 +136,21 @@ def _cmd_synth(args):
 def _cmd_classify(args):
     train = normalize_columns(_group_by_class(load_source(args.train)))
     test = normalize_columns(load_source(args.test))
+    truth = [test.original_label(label) for label in test.labels.tolist()]
+    known = {train.original_label(label) for label in range(1, train.C + 1)}
+    unknown = next((label for label in truth if label not in known), None)
+    if unknown is not None:
+        raise DatasetError(f"test label {unknown} is not a label of the train file")
     state = fit_method(
         args.method, train,
         lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
     )
     predicted = state.decide_all(state.compute_codes(test.X), test.X)[0]
     correct = 0
-    for j, dense_label in enumerate(predicted):
+    for dense_label, want in zip(predicted, truth):
         label = train.original_label(dense_label)
         print(label)
-        correct += label == test.original_label(test.labels[j])
+        correct += label == want
     print(f"accuracy: {100.0 * correct / test.n:.2f}")
     return 0
 
@@ -184,7 +189,7 @@ def _cmd_diag(args):
         raise ParameterError(
             f"sample index {i} out of range for {ds.n} samples"
         )
-    rest = [j for j in range(ds.n) if j != i]
+    rest = np.delete(np.arange(ds.n), i)
     train = normalize_columns(_group_by_class(take_columns(ds, rest)))
     nrm = float(np.linalg.norm(ds.X[:, i]))
     if nrm == 0.0:

@@ -91,15 +91,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/test column indices; the train indices are grouped by
-    class."""
+    """Disjoint train/test column indices, each an integer (not a bool)
+    in int64's range and >= 0; the train indices are grouped by class."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
 
     def __post_init__(self):
-        train = np.asarray(self.train_indices, dtype=np.int64)
-        test = np.asarray(self.test_indices, dtype=np.int64)
+        train = _column_indices(self.train_indices)
+        test = _column_indices(self.test_indices)
         if np.intersect1d(train, test).size:
             raise DatasetError("train and test indices overlap")
         object.__setattr__(self, "train_indices", _frozen_array(train))
@@ -376,18 +376,26 @@ def take_columns(dataset, indices):
     """Sub-dataset of the given columns, in the given order. Each index is
     an integer (not a bool) in 0..n-1; DatasetError names the first entry
     that is not."""
+    ix = _column_indices(indices, dataset.n)
+    return replace(dataset, X=dataset.X[:, ix], labels=dataset.labels[ix])
+
+
+def _column_indices(indices, n=None):
+    """``indices`` as an int64 array, each an integer (not a bool) in 0..n-1,
+    or in int64's range when ``n`` is not given; DatasetError names the
+    first entry that is not. An integer array is checked whole, anything
+    else entry by entry."""
     ix = indices if isinstance(indices, np.ndarray) else np.array(indices, dtype=object)
-    n = dataset.n
+    last = np.iinfo(np.int64).max if n is None else n - 1
     if ix.dtype.kind in "iu":
-        ok = (ix >= 0) & (ix < n)
+        ok = (ix >= 0) & (ix <= last)
     else:
         ok = np.array([isinstance(i, numbers.Integral) and not isinstance(i, bool)
-                       and 0 <= i < n for i in ix.flat], dtype=bool).reshape(ix.shape)
+                       and 0 <= i <= last for i in ix.flat], dtype=bool).reshape(ix.shape)
     if not ok.all():
         p = int(np.flatnonzero(~ok)[0])
         raise DatasetError(
             f"column index {ix.ravel().tolist()[p]!r} (entry {p}) is not an "
-            f"integer in 0..{n - 1}"
+            f"integer in 0..{last}"
         )
-    ix = ix.astype(np.int64, copy=False)
-    return replace(dataset, X=dataset.X[:, ix], labels=dataset.labels[ix])
+    return ix.astype(np.int64, copy=False)

@@ -159,6 +159,23 @@ def test_compare_runs_and_writes_csv(tmp_path, capsys):
     assert captured.err.count("# timing") == 2
 
 
+def test_classify_rejects_test_labels_the_train_file_lacks(tmp_path, capsys):
+    # the train file's labels are 1 and 2; the test file writes 17 and 27
+    data = make_data(tmp_path)
+    test = tmp_path / "test.csv"
+    test.write_text("17,1,0,0,0\n27,0,1,0,0\n2,0,0,1,0\n")
+    capsys.readouterr()
+    for method in ("crc", "sa_procrc"):
+        rc = cli.main(
+            ["classify", "--train", str(data), "--test", str(test),
+             "--method", method, "--k", "1"]
+        )
+        assert rc == 2, method
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: DatasetError: test label 17 is not a label of the train file\n"
+
+
 def test_classify_wrong_length_test_sample_exits_two(tmp_path, capsys):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"
@@ -237,6 +254,20 @@ def test_diag_codes_the_sample_once(tmp_path, capsys, monkeypatch):
     rows = (out_dir / "scores.csv").read_text().splitlines()[1:]
     best = max(rows, key=lambda r: float(r.split(",")[2])).split(",")[1]
     assert capsys.readouterr().out.startswith(f"sample 4: true class 2, predicted {best}\n")
+
+
+def test_diag_leaves_the_sample_out_by_an_integer_array(tmp_path, capsys, monkeypatch):
+    # an integer array takes take_columns' whole-array check, not the
+    # per-entry one
+    data = make_data(tmp_path)
+    taken, take = [], cli.take_columns
+    monkeypatch.setattr(cli, "take_columns", lambda ds, ix: taken.append(ix) or take(ds, ix))
+    rc = cli.main(
+        ["diag", "--train", str(data), "--sample-index", "4",
+         "--method", "crc", "--out-dir", str(tmp_path / "diag")]
+    )
+    assert rc == 0
+    assert taken[0].dtype.kind == "i" and taken[0].tolist() == [0, 1, 2, 3, 5]
 
 
 def test_diag_sample_index_out_of_range(tmp_path, capsys):

@@ -429,6 +429,27 @@ def test_split_counts_and_disjointness():
         Split(train_indices=[0, 1, 2], test_indices=[3, 1])
 
 
+def test_split_rejects_indices_that_are_not_column_indices():
+    for train, test, bad, entry in (
+        ([0.5, 1.9], [2], "0.5", 0),
+        ([0, 1], [-1], "-1", 0),
+        ([True], [2], "True", 0),
+        ([0], np.array([2.0]), "2.0", 0),
+        (np.array([0, -3]), [4], "-3", 1),
+        (np.array([2**63], dtype=np.uint64), [4], str(2**63), 0),
+        ([0], [2**63], str(2**63), 0),
+    ):
+        with pytest.raises(
+            DatasetError,
+            match=rf"column index {re.escape(bad)} \(entry {entry}\) is not an integer "
+                  rf"in 0\.\.{2**63 - 1}",
+        ):
+            Split(train_indices=train, test_indices=test)
+    sp = Split(train_indices=np.array([4, 0], dtype=np.uint8), test_indices=(np.int64(2),))
+    assert sp.train_indices.tolist() == [4, 0] and sp.test_indices.tolist() == [2]
+    assert sp.train_indices.dtype == sp.test_indices.dtype == np.int64
+
+
 def test_split_boundary_leaves_one_test_sample():
     rng = np.random.default_rng(19)
     ds = random_dataset(rng, 3, 5, 2)
