@@ -250,13 +250,13 @@ def fit_method(
 ):
     """Fit one of the five methods on a training Dataset.
 
-    The train columns must be unit-normalized and grouped by class (the
-    order produced by split + take_columns). One Dictionary of the train
-    columns, checked once, serves every stage. What a sparse coder reads
-    of it is built here, so coding a sample builds and checks nothing: the
-    Gram matrix for OMP (``sa_*``) and the step bound for ``src``. The
-    dense fits and the step bound read the Gram matrix only when there
-    are no more train columns than features (m >= n).
+    The train columns must be grouped by class (the order produced by
+    split + take_columns). One Dictionary of the train columns, checked
+    once, serves every stage. What a sparse coder reads of it is checked
+    or built here, after the parameters, so coding a sample builds and
+    checks nothing: the unit norms (``sa_*``, ``src``; ``crc`` and ``procrc``
+    take any columns), G for OMP (``sa_*``) and the step bound (``src``).
+    The dense fits and the step bound read G only when m >= n.
     """
     if method not in METHODS:
         raise ConfigError(
@@ -273,6 +273,7 @@ def fit_method(
     blocks = split_blocks(train.X, sizes)
     D = Dictionary(train.X)
     if method == "src":
+        D.unit_norms
         D.lipschitz  # the l1 step bound is part of the fit, not of a sample
         def coder(Y):
             return _l1_columns(D, as_samples(Y, train.m), epsilon, DEFAULT_MAX_ITER)[0]
@@ -286,6 +287,7 @@ def fit_method(
         rule = regularized_residual_scores if method == "crc" else residual_scores
         return _FittedResidual(method, partial(_project_batch, projector, m=train.m), rule, blocks)
     L = build_label_matrix(train.labels, train.C)
+    D.unit_norms
     D.G  # the pursuit reads G: build it with the fit, not with the first sample
     return FittedSa(method, projector, D, L, k, blocks)
 

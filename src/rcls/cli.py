@@ -134,7 +134,7 @@ def _cmd_synth(args):
 
 
 def _cmd_classify(args):
-    train = normalize_columns(_group_by_class(load_source(args.train)))
+    train = _group_by_class(normalize_columns(load_source(args.train)))
     test = normalize_columns(load_source(args.test))
     truth = [test.original_label(label) for label in test.labels.tolist()]
     known = {train.original_label(label) for label in range(1, train.C + 1)}
@@ -189,20 +189,20 @@ def _cmd_diag(args):
         raise ParameterError(
             f"sample index {i} out of range for {ds.n} samples"
         )
-    rest = np.delete(np.arange(ds.n), i)
-    train = normalize_columns(_group_by_class(take_columns(ds, rest)))
-    nrm = float(np.linalg.norm(ds.X[:, i]))
-    if nrm == 0.0:
+    label = ds.original_label(ds.labels[i])
+    if ds.class_sizes[ds.labels[i] - 1] == 1:
+        raise DatasetError(f"sample {i} is the only sample of class {label} and cannot be left out")
+    if not ds.X[:, i].any():
         raise DataError(f"sample {i} is zero and cannot be normalized")
+    ds = normalize_columns(ds)
+    train = _group_by_class(take_columns(ds, np.delete(np.arange(ds.n), i)))
     state = fit_method(
         args.method, train,
         lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
     )
-    y = ds.X[:, i] / nrm
-    decision, written = dump_diagnostics(state, y, args.out_dir)
-    true_label = ds.original_label(ds.labels[i])
+    decision, written = dump_diagnostics(state, ds.X[:, i], args.out_dir)
     predicted = ds.original_label(decision.predicted_class)
-    print(f"sample {i}: true class {true_label}, predicted {predicted}")
+    print(f"sample {i}: true class {label}, predicted {predicted}")
     for path in written.values():
         print(f"wrote {path}")
     return 0

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import (
     ConvergenceWarning,
     DimensionError,
-    NormalizationError,
     ParameterError,
 )
 from .linalg import (
@@ -31,8 +30,6 @@ from .linalg import (
     spd_solve,
 )
 
-# Column norms OMP will accept as "unit".
-UNIT_NORM_TOL = 1e-6
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_SPARSITY = 50
 DEFAULT_MAX_ITER = 2000
@@ -204,17 +201,6 @@ def _dense_operator(D, slices, lam, gamma):
     return spd_solve(K, W.T).T
 
 
-def _check_unit_norms(norms):
-    """Raise NormalizationError unless every column norm is 1 within
-    ``UNIT_NORM_TOL``."""
-    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
-    if bad.size:
-        raise NormalizationError(
-            f"columns must be unit-normalized; column {bad[0]} has norm "
-            f"{norms[bad[0]]:.6g}"
-        )
-
-
 def check_sparsity(k, m, n):
     """Raise ParameterError unless ``k`` is an integer (not a bool) in
     [1, min(m, n)] for m-dimensional samples over n atoms."""
@@ -254,12 +240,12 @@ def _omp_columns(D, Y, k, residual_tol):
 
     The columns are pursued in lockstep, in chunks whose state fits
     ``CHUNK_BYTES`` and that share one allocation of it; a column's support
-    does not depend on the other columns. ``k``, ``residual_tol`` and the
-    unit norms are checked once.
+    does not depend on the other columns. ``k`` and ``residual_tol`` are
+    checked once, the unit norms by ``Dictionary.unit_norms``.
     """
+    D.unit_norms
     X, G = D.X, D.G
     m, n = X.shape
-    _check_unit_norms(np.sqrt(np.diag(G)))
     check_sparsity(k, m, n)
     check_param("residual_tol", residual_tol, zero_ok=True)
     # per column: U, L^T, z, the support and a few n- and m-vectors
@@ -385,13 +371,13 @@ def _l1_columns(D, Y, epsilon, max_iter):
     The columns are shrunk in lockstep, in chunks whose state fits
     ``CHUNK_BYTES``; a column's code and iteration count are bitwise the
     same whatever the other columns, their order or the chunks.
-    ``epsilon``, ``max_iter`` and the unit norms (read from X, so that no
-    n x n matrix is built) are checked once, and each column that misses
-    ``epsilon`` issues one ConvergenceWarning naming it.
+    ``epsilon`` and ``max_iter`` are checked once, the unit norms by
+    ``Dictionary.unit_norms``, and each column that misses ``epsilon``
+    issues one ConvergenceWarning naming it.
     """
+    D.unit_norms
     X = D.X
     m, n = X.shape
-    _check_unit_norms(np.sqrt(np.einsum("mn,mn->n", X, X)))
     check_param("epsilon", epsilon)
     check_integer("max_iter", max_iter, 1)
     step = 1.0 / D.lipschitz

@@ -333,8 +333,8 @@ def split(dataset, per_class_train, seed):
         members = np.flatnonzero(dataset.labels == c)
         if members.size <= per_class_train:
             raise DatasetError(
-                f"class {c} has {members.size} samples; needs more than "
-                f"{per_class_train} to split"
+                f"class {dataset.original_label(c)} has {members.size} samples; "
+                f"needs more than {per_class_train} to split"
             )
         perm = rng.permutation(members)
         train_parts.append(np.sort(perm[:per_class_train]))

@@ -19,6 +19,7 @@ from .errors import (
     DataError,
     DatasetError,
     DimensionError,
+    NormalizationError,
     NumericalError,
     ParameterError,
     SingularMatrixError,
@@ -28,6 +29,8 @@ from .errors import (
 SOLVE_RTOL = 1e-8
 # Rows of every GEMM of test samples (see ``_row_products``).
 GEMM_ROWS = 16
+# Column norms a Dictionary accepts as "unit" (see ``Dictionary.unit_norms``).
+UNIT_NORM_TOL = 1e-6
 
 
 def _frozen_array(a):
@@ -321,15 +324,25 @@ def _factors(M):
 
 class Dictionary:
     """A dictionary X (columns are atoms) checked once, with what coding
-    needs from it alone, each computed on first use: the Gram matrix
-    ``G = gram(X)``, which OMP and the n x n (m >= n) dense fits read, and
-    the l1 step bound ``lipschitz`` = 2 * lambda_max(X^T X). lambda_max is
-    taken from the smaller of X X^T (m x m) and G, which share it, so with
-    m < n the bound builds no n x n matrix. ``X`` and ``G`` are read-only;
-    the caller's array stays writeable."""
+    needs from it alone, each computed on first use: ``unit_norms``, the
+    sparse coders' check of X; ``G = gram(X)``, which OMP and the m >= n
+    dense fits read; the l1 step bound ``lipschitz`` = 2 lambda_max(X^T X),
+    from the smaller of X X^T and G, so with m < n no n x n matrix is built.
+    ``X`` and ``G`` are read-only; the caller's array stays writeable."""
 
     def __init__(self, X):
         self.X = _frozen_array(as_mat(X, "X"))
+
+    @functools.cached_property
+    def unit_norms(self):
+        """X's column norms, read once: NormalizationError names the first
+        that is not 1 within ``UNIT_NORM_TOL``."""
+        norms = np.sqrt(np.einsum("mn,mn->n", self.X, self.X))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+        if bad.size:
+            raise NormalizationError(f"columns must be unit-normalized; column {bad[0]} "
+                                     f"has norm {norms[bad[0]]:.6g}")
+        return _frozen_array(norms)
 
     @functools.cached_property
     def G(self):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -51,6 +52,7 @@ from rcls.errors import (
     DataError,
     DatasetError,
     DimensionError,
+    NormalizationError,
     ParameterError,
 )
 from rcls.linalg import Dictionary
@@ -229,6 +231,44 @@ def test_sa_k_above_dictionary_size_fails_at_fit_time(monkeypatch):
             with pytest.raises(ParameterError, match=f"k must be an integer, got {k!r}"):
                 fit_method(method, train, k=k)
     fit_method("sa_procrc", train, k=np.int64(3))
+
+
+def test_sparse_coders_check_unit_norms_at_fit_time(monkeypatch):
+    coded = []
+    for name in ("_omp_columns", "_l1_columns"):
+        monkeypatch.setattr(bench, name, lambda *args, **kwargs: coded.append(args))
+    train = grouped_train(NOISY, per_class_train=5)
+    X = np.array(train.X)
+    X[:, 3] *= 5.3
+    loose = dataclasses.replace(train, X=X)
+    for method in ("sa_crc", "sa_procrc", "src"):
+        with pytest.raises(NormalizationError, match="column 3 has norm 5.3$"):
+            fit_method(method, loose, k=4)
+    assert coded == []
+    monkeypatch.undo()
+    for method in ("crc", "procrc"):  # the dense coders take any columns
+        state = fit_method(method, loose, k=4)
+        Y = train.X[:, :3]
+        assert state.decide_all(state.compute_codes(Y), Y)[0].shape == (3,)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_unit_norms_are_checked_once_per_dictionary(method, monkeypatch):
+    from rcls import linalg
+
+    checked = []
+    check = linalg.Dictionary.unit_norms.func
+    counted = functools.cached_property(lambda D: checked.append(D) or check(D))
+    counted.__set_name__(linalg.Dictionary, "unit_norms")
+    monkeypatch.setattr(linalg.Dictionary, "unit_norms", counted)
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    fitted = len(checked)
+    rng = np.random.default_rng(3)
+    for width in (1, 2, 5):
+        state.compute_codes(rng.standard_normal((train.m, width)))
+    sparse = method == "src" or method.startswith("sa_")
+    assert fitted == len(checked) == sparse
 
 
 def test_sa_coding_never_rechecks_the_dictionary(monkeypatch):

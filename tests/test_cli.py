@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from rcls import bench, cli
-from rcls.bench import load_experiment_config, run_experiment
-from rcls.data import Dataset, load_bin, load_csv, save_bin
+from rcls.bench import fit_method, load_experiment_config, run_experiment
+from rcls.data import (
+    Dataset,
+    SynthSpec,
+    load_bin,
+    load_csv,
+    normalize_columns,
+    save_bin,
+    synth,
+    take_columns,
+)
 from rcls.errors import SingularMatrixError
 
 SYNTH_ARGS = [
@@ -292,6 +301,57 @@ def test_diag_sample_index_out_of_range(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: DataError: sample 2 is zero and cannot be normalized\n"
     )
+
+
+def test_zero_sample_is_named_by_its_file_column(tmp_path, capsys):
+    # the file is normalized as read, before it is grouped by class (file
+    # column 2 is grouped column 4) or a sample is left out
+    rows = [[1, 1, 0, 0], [2, 0, 1, 0], [2, 0, 0, 0], [1, 1, 1, 0], [2, 0, 1, 1], [1, 1, 0, 1]]
+    data = tmp_path / "train.csv"
+    data.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    for argv in (
+        ["classify", "--train", str(data), "--test", str(data), "--method", "crc"],
+        ["diag", "--train", str(data), "--sample-index", "0", "--method", "crc",
+         "--out-dir", str(tmp_path / "d")],
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: DataError: column 2 is zero and cannot be normalized\n")
+
+
+@pytest.mark.parametrize("method", ["crc", "procrc", "sa_procrc"])
+def test_diag_codes_the_normalized_file_column(tmp_path, capsys, method):
+    # sample 1's norm alone and in normalize_columns differ in the last bit; diag
+    # scores the file's column as normalize_columns normalizes it
+    ds = synth(SynthSpec(C=3, ambient_dim=12, subspace_dim=2, per_class=8,
+                         noise_sigma=0.4, seed=5))
+    i = 1
+    normalized = normalize_columns(ds)
+    assert np.linalg.norm(ds.X[:, i]) != np.linalg.norm(ds.X, axis=0)[i]
+    data = tmp_path / "train.rcls"
+    save_bin(ds, data)
+    out_dir = tmp_path / "diag"
+    rc = cli.main(["diag", "--train", str(data), "--sample-index", str(i),
+                   "--method", method, "--k", "4", "--out-dir", str(out_dir)])
+    assert rc == 0
+    train = take_columns(normalized, np.delete(np.arange(ds.n), i))
+    state = fit_method(method, take_columns(train, np.argsort(train.labels, kind="stable")), k=4)
+    y = normalized.X[:, i]
+    scores = state.decide(state.compute_code(y), y).scores
+    written = (out_dir / "scores.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[2]) for r in written] == [float(v) for v in scores]
+
+
+def test_diag_rejects_leaving_out_a_class_s_only_sample(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    data.write_text("17,1,0\n27,0,1\n17,1,1\n37,2,1\n27,1,2\n")
+    rc = cli.main(["diag", "--train", str(data), "--sample-index", "3",
+                   "--method", "crc", "--out-dir", str(tmp_path / "d")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", (
+        "error: DatasetError: sample 3 is the only sample of class 37 and "
+        "cannot be left out\n"))
+    assert not (tmp_path / "d").exists()
 
 
 def test_convert_round_trip(tmp_path, capsys):

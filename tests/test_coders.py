@@ -526,8 +526,8 @@ def test_omp_input_validation():
     D = Dictionary(Xu)
     with pytest.raises(DimensionError):
         omp(D, np.ones(5), 2)
-    # a Dictionary's Gram matrix cannot be tampered with, and the unit-norm
-    # check reads its diagonal
+    # a Dictionary's Gram matrix cannot be tampered with, and its unit-norm
+    # check reads the column norms of X
     with pytest.raises(ValueError):
         D.G[2, 2] = 1.1
     Xt = Xu.copy()
@@ -1171,8 +1171,10 @@ def test_dense_and_sa_columns_do_not_depend_on_the_batch_at_realistic_shapes(
     (38, 504, 9, 0.1, 32, 1),  # the Yale-B shape
 ])
 def test_decisions_do_not_depend_on_atom_order(method, C, m, s, sigma, train, test):
-    # the training atoms of each class permuted: every decision is the same
-    # (src on its first 4 test samples)
+    # the training atoms of each class permuted: every decision is the same;
+    # the classes relabelled and regrouped, the atoms of each class in
+    # order: every decision is relabelled but for exact ties, which go to
+    # the lowest class (src on its first 4 test samples)
     per_class = train + test
     for seed in (1, 2):
         ds = normalize_columns(synth(SynthSpec(C=C, ambient_dim=m, subspace_dim=s,
@@ -1183,11 +1185,18 @@ def test_decisions_do_not_depend_on_atom_order(method, C, m, s, sigma, train, te
         Y = np.asfortranarray(ds.X[:, ~is_train][:, :4 if method == "src" else None])
         rng = np.random.default_rng(seed)
         perm = np.concatenate([c * train + rng.permutation(train) for c in range(C)])
-        predicted = []
-        for order in (np.arange(X.shape[1]), perm):
-            state = fit_method(method, Dataset(X=X[:, order], labels=labels[order], C=C))
-            predicted.append(state.decide_all(state.compute_codes(Y), Y)[0])
-        assert np.array_equal(*predicted)
+        relabel = rng.permutation(C) + 1  # class c becomes class relabel[c - 1]
+        relabelled = relabel[labels - 1]
+        regroup = np.argsort(relabelled, kind="stable")
+        decisions = []
+        for order, lab in ((np.arange(X.shape[1]), labels), (perm, labels),
+                           (regroup, relabelled)):
+            state = fit_method(method, Dataset(X=X[:, order], labels=lab[order], C=C))
+            decisions.append(state.decide_all(state.compute_codes(Y), Y))
+        (first, tie), (permuted, _), (moved, moved_tie) = decisions
+        assert np.array_equal(first, permuted)
+        untied = ~(tie | moved_tie)
+        assert np.array_equal(relabel[first - 1][untied], moved[untied])
 
 
 def test_l1_columns_warn_once_for_the_column_that_misses_epsilon():

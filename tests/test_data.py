@@ -458,6 +458,10 @@ def test_split_boundary_leaves_one_test_sample():
     with pytest.raises(DatasetError) as exc:
         split(ds, 5, seed=1)
     assert "class 1" in str(exc.value)
+    # a file's dataset names the class by the file's label
+    mapped = Dataset(X=ds.X, labels=ds.labels, C=2, label_mapping=(17, 27))
+    with pytest.raises(DatasetError, match="^class 17 has 5 samples; needs more than 5 to split$"):
+        split(mapped, 5, seed=1)
 
 
 def test_split_seed_controls_outcome():
