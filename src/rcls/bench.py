@@ -1,7 +1,8 @@
 """Experiment harness: repeated seeded trials, aggregation, diagnostics.
 
-Each trial draws a fresh train/test split (seed = base_seed + t), normalizes
-both partitions, fits the configured method on the train columns and
+A run loads (and, when configured, projects) its dataset and normalizes it
+once. Each trial draws a fresh train/test split (seed = base_seed + t),
+selects both partitions, fits the configured method on the train columns and
 classifies every test sample. Accuracies are aggregated as mean and sample
 standard deviation. A comparison is one ExperimentReport per method: the
 trials run outermost, and each trial's split serves every method, so the
@@ -317,26 +318,17 @@ def run_experiment(cfg):
 
     Fully deterministic given the config: trial t uses seed base_seed + t
     for its split, and a dataset-level random projection (when configured)
-    uses base_seed. Returns an ExperimentReport.
+    uses base_seed. The dataset is normalized once, after it is loaded and
+    projected, not per trial. Returns an ExperimentReport.
     """
-    return _run_trials(_load_projected(cfg), [cfg])[0]
-
-
-def _load_projected(cfg):
-    ds = load_source(cfg.dataset)
-    if cfg.projection_dim is not None:
-        if cfg.projection_dim > ds.m:
-            raise ConfigError(f"projection_dim {cfg.projection_dim} exceeds the "
-                              f"dataset's feature dimension {ds.m}")
-        ds = random_project(ds, cfg.projection_dim, seed=cfg.base_seed)
-    return ds
+    return compare_methods((cfg,))[0]
 
 
 def _run_trials(ds, cfgs):
     """One ExperimentReport per config, the trials outermost: each trial
-    is split, selected and normalized once, and every config is fitted,
-    coded and scored on it. The configs share per_class_train, trials and
-    base_seed."""
+    is split and selected once from the normalized dataset ``ds``, and
+    every config is fitted, coded and scored on it. The configs share
+    per_class_train, trials and base_seed."""
     first = cfgs[0]
     stages = [{"fit": 0.0, "code": 0.0, "classify": 0.0} for _ in cfgs]
     accuracies = [[] for _ in cfgs]
@@ -344,8 +336,8 @@ def _run_trials(ds, cfgs):
         seed = first.base_seed + t
         try:
             sp = split(ds, first.per_class_train, seed)
-            train = normalize_columns(take_columns(ds, sp.train_indices))
-            test = normalize_columns(take_columns(ds, sp.test_indices))
+            train = take_columns(ds, sp.train_indices)
+            test = take_columns(ds, sp.test_indices)
             for cfg, stage, acc in zip(cfgs, stages, accuracies):
                 acc.append(_run_trial(train, test, cfg, stage))
         except RclsError as err:
@@ -388,8 +380,9 @@ def compare_methods(cfgs):
     All configs must agree on everything except the method (same dataset,
     split sizes, trial count, seeds, projection); the splits are then
     identical across rows and differences are attributable to the method.
-    The dataset is loaded once and each trial split once for the whole
-    table, so the table fails at the first trial where any row fails.
+    The dataset is loaded, projected and normalized once for the whole
+    table, and each trial split once, so the table fails at the first
+    trial where any row fails.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -403,7 +396,14 @@ def compare_methods(cfgs):
                     f"configs disagree on {name}: "
                     f"{getattr(first, name)!r} vs {getattr(cfg, name)!r}"
                 )
-    return _run_trials(_load_projected(first), cfgs)
+    ds = load_source(first.dataset)
+    if first.projection_dim is not None:
+        if first.projection_dim > ds.m:
+            raise ConfigError(f"projection_dim {first.projection_dim} exceeds the "
+                              f"dataset's feature dimension {ds.m}")
+        ds = random_project(ds, first.projection_dim, seed=first.base_seed)
+    ds = normalize_columns(ds)
+    return _run_trials(ds, cfgs)
 
 
 def error_reductions(reports):

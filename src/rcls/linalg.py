@@ -127,10 +127,16 @@ def check_labels(labels, C):
     """The one check of dense labels: ``labels`` as an int64 array when C
     is an integer >= 1 and the labels are a nonempty 1-D vector of
     integers in 1..C in which every class appears; DatasetError, naming
-    the first bad value, otherwise. A label such as 1.7 is rejected, not
-    truncated."""
+    the first bad value, otherwise. A label such as 1.7 or True is
+    rejected, not truncated or read as 1. An array of numbers holds no
+    bool; anything else is checked for one entry by entry, as
+    ``np.asarray([1, True])`` is an int array."""
     check_integer("C", C, 1, DatasetError)
     a = np.asarray(labels)
+    if not (isinstance(labels, np.ndarray) and a.dtype.kind in "iuf"):
+        for v in np.array(labels, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_)):
+                raise DatasetError(f"label {v} is not an integer")
     if a.dtype.kind not in "biu":
         f = a.astype(np.float64)
         bad = ~((np.abs(f) < 2.0**62) & (f == np.trunc(f)))

@@ -42,10 +42,12 @@ from rcls.data import (
     Dataset,
     SynthSpec,
     normalize_columns,
+    random_project,
     save_bin,
     save_csv,
     split,
     synth,
+    take_columns,
 )
 from rcls.errors import (
     ConfigError,
@@ -596,6 +598,17 @@ def test_run_experiment_with_projection(monkeypatch):
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a == b
+    # the per-trial recipe: project with base_seed, then split, select and
+    # normalize each selection; normalizing the projected dataset once
+    # gives bitwise the same samples, so the same accuracies
+    projected = random_project(synth(NOISY), 6, seed=cfg.base_seed)
+    for t, acc in enumerate(a.accuracies):
+        sp = split(projected, cfg.per_class_train, cfg.base_seed + t)
+        train = normalize_columns(take_columns(projected, sp.train_indices))
+        test = normalize_columns(take_columns(projected, sp.test_indices))
+        state = fit_method(cfg.method, train, lam=cfg.lam)
+        predicted = state.decide_all(state.compute_codes(test.X), test.X)[0]
+        assert acc == 100.0 * np.count_nonzero(predicted == test.labels) / test.n
     # wider than the data: a config error naming the key, before any trial
     wide = dataclasses.replace(cfg, projection_dim=11)
     monkeypatch.setattr(bench, "split", lambda *args: pytest.fail("a trial ran"))
@@ -666,6 +679,14 @@ def test_compare_methods_loads_dataset_once(tmp_path, monkeypatch):
         return real_load_csv(p)
 
     monkeypatch.setattr(bench, "load_csv", counting_load_csv)
+    normalized = []
+    real_normalize = bench.normalize_columns
+
+    def counting_normalize(ds):
+        normalized.append(ds.n)
+        return real_normalize(ds)
+
+    monkeypatch.setattr(bench, "normalize_columns", counting_normalize)
     cfgs = [
         ExperimentConfig(
             dataset=str(path), method=m, per_class_train=5, trials=2, k=4
@@ -674,6 +695,7 @@ def test_compare_methods_loads_dataset_once(tmp_path, monkeypatch):
     ]
     reports = compare_methods(cfgs)
     assert len(calls) == 1
+    assert normalized == [synth(NOISY).n]  # the whole file, once per table
     assert reports == tuple(run_experiment(cfg) for cfg in cfgs)
 
 

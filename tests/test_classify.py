@@ -86,6 +86,9 @@ def test_build_label_matrix_errors():
         build_label_matrix([1, 1, 3], 3)  # class 2 empty
     with pytest.raises(DatasetError, match="label 1.9 is not an integer"):
         build_label_matrix([1.9, 2.5], 2)
+    for labels in ([True, True], np.array([True, True]), [1, True], [1.0, True]):
+        with pytest.raises(DatasetError, match="^label True is not an integer$"):
+            build_label_matrix(labels, 1)
     for labels in ([[1, 2]], []):
         with pytest.raises(DatasetError, match="labels must be a nonempty 1-D sequence"):
             build_label_matrix(labels, 2)
@@ -108,9 +111,13 @@ def test_build_label_matrix_errors():
         ([1.5, 2.0], 2),
         ([[1, 2]], 2),
         ([], 2),
+        ([True, True], 1),
+        (np.array([True, True]), 1),
+        ([1, True], 1),
     ],
     ids=["C-float", "C-bool", "C-None", "C-str", "label-above-C", "label-0",
-         "class-missing", "label-not-integer", "labels-2-D", "labels-empty"],
+         "class-missing", "label-not-integer", "labels-2-D", "labels-empty",
+         "labels-bool", "labels-bool-array", "label-bool-among-ints"],
 )
 def test_every_entry_point_gives_the_same_label_error(labels, C):
     n = max(np.size(labels), 1)

@@ -305,15 +305,23 @@ def test_diag_sample_index_out_of_range(tmp_path, capsys):
 
 def test_zero_sample_is_named_by_its_file_column(tmp_path, capsys):
     # the file is normalized as read, before it is grouped by class (file
-    # column 2 is grouped column 4) or a sample is left out
+    # column 2 is grouped column 4), a sample is left out or a trial selects
+    # its columns, so every base seed names the same column
     rows = [[1, 1, 0, 0], [2, 0, 1, 0], [2, 0, 0, 0], [1, 1, 1, 0], [2, 0, 1, 1], [1, 1, 0, 1]]
     data = tmp_path / "train.csv"
     data.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
-    for argv in (
+    argvs = [
         ["classify", "--train", str(data), "--test", str(data), "--method", "crc"],
         ["diag", "--train", str(data), "--sample-index", "0", "--method", "crc",
          "--out-dir", str(tmp_path / "d")],
-    ):
+    ]
+    for seed in range(4):
+        run = f"dataset: {data}\nper_class_train: 2\ntrials: 1\nbase_seed: {seed}\n"
+        (tmp_path / f"bench{seed}.yaml").write_text(run + "method: crc\n")
+        (tmp_path / f"cmp{seed}.yaml").write_text(run + "methods: [crc, procrc]\n")
+        argvs += [["bench", "--config", str(tmp_path / f"bench{seed}.yaml")],
+                  ["compare", "--config", str(tmp_path / f"cmp{seed}.yaml")]]
+    for argv in argvs:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == (
             "", "error: DataError: column 2 is zero and cannot be normalized\n")
