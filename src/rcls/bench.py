@@ -58,6 +58,7 @@ from .errors import (
     DatasetError,
     DegenerateFusionError,
     DimensionError,
+    ParameterError,
     RclsError,
 )
 from .linalg import Dictionary, as_sample, as_samples, check_integer, check_param
@@ -398,10 +399,10 @@ def compare_methods(cfgs):
                 )
     ds = load_source(first.dataset)
     if first.projection_dim is not None:
-        if first.projection_dim > ds.m:
-            raise ConfigError(f"projection_dim {first.projection_dim} exceeds the "
-                              f"dataset's feature dimension {ds.m}")
-        ds = random_project(ds, first.projection_dim, seed=first.base_seed)
+        try:
+            ds = random_project(ds, first.projection_dim, seed=first.base_seed)
+        except ParameterError as err:  # the one check left: target_dim <= m
+            raise ConfigError(f"projection_dim {str(err).partition(' ')[2]}") from None
     ds = normalize_columns(ds)
     return _run_trials(ds, cfgs)
 

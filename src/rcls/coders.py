@@ -172,13 +172,26 @@ def _dense_operator(D, slices, lam, gamma):
     (n x n: 4e-15), by 4e-7 from an n x n solve at m = 80 < n = 120 (m x m:
     6e-15). Woodbury stays accurate at m > n (3e-15 to lam = 1e-12), but
     there the class term shares the n x n branch, 3x faster at 3000 x 1500.
+
+    Each large array is held once. With one class-block size (equal
+    classes) W is the stacked solve's own output, reshaped; otherwise it
+    is filled group by group. A group's blocks are freed after its solve,
+    K is symmetrized and the class term added in place. So a fit holds at
+    most 3 m x n arrays at once, plus its m x m or n x n matrices (see
+    ``spd_solve``); filling W group by group, up to 4 when one size
+    covers most classes (the group's blocks, result and residual, and W).
     """
     X = D.X
     m, n = X.shape
     C = len(slices)
     ridge = C == 1 or gamma == 0
     if m >= n:
-        A = np.array(D.G) if ridge else D.G + (gamma / C) * _gram_sum(D.G, slices)
+        if ridge:
+            A = np.array(D.G)
+        else:
+            A = _gram_sum(D.G, slices)
+            A *= gamma / C
+            A += D.G
         A[np.diag_indices(n)] += lam
         return spd_solve(A, X.T)
     if ridge:
@@ -186,17 +199,26 @@ def _dense_operator(D, slices, lam, gamma):
         A[np.diag_indices(m)] += lam
         return spd_solve(A, X).T
     a = 1.0 + gamma * (C - 2) / C
-    W = np.empty((n, m))
-    for size in sorted({sl.stop - sl.start for sl in slices}):
+    sizes = sorted({sl.stop - sl.start for sl in slices})
+    W = None if len(sizes) == 1 else np.empty((n, m))
+    for size in sizes:
         group = [sl for sl in slices if sl.stop - sl.start == size]
         Xs = np.stack([X[:, sl] for sl in group])  # the blocks of this size
         XsT = np.swapaxes(Xs, 1, 2)
-        B = (gamma / C) * (XsT @ Xs)
+        B = XsT @ Xs
+        B *= gamma / C
         B[:, np.arange(size), np.arange(size)] += lam
-        for sl, Wi in zip(group, spd_solve(B, XsT)):
-            W[sl] = Wi
+        Ws = spd_solve(B, XsT)
+        del Xs, XsT, B
+        if len(sizes) == 1:  # the blocks are all of X, in order
+            W = Ws.reshape(n, m)
+        else:
+            for i, sl in enumerate(group):
+                W[sl] = Ws[i]
+        del Ws
     K = X @ W  # X B^-1 X^T, symmetric up to rounding
-    K = (0.5 * a) * (K + K.T)
+    K += K.T
+    K *= 0.5 * a
     K[np.diag_indices(m)] += 1.0
     return spd_solve(K, W.T).T
 

@@ -314,7 +314,7 @@ def random_project(dataset, target_dim, seed):
     check_integer("seed", seed, 0)
     if target_dim > dataset.m:
         raise ParameterError(
-            f"target_dim {target_dim} exceeds feature dimension {dataset.m}"
+            f"target_dim {target_dim} exceeds the dataset's feature dimension {dataset.m}"
         )
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((target_dim, dataset.m)) / np.sqrt(target_dim)
@@ -357,19 +357,19 @@ def synth(spec):
     scores carry class information only under that structure.
     """
     rng = np.random.default_rng(spec.seed)
-    blocks = []
-    labels = []
-    for c in range(1, spec.C + 1):
+    per = spec.per_class
+    X = np.empty((spec.ambient_dim, spec.C * per), order="F")  # Dataset's layout
+    for c in range(spec.C):
         basis, _ = np.linalg.qr(
             rng.standard_normal((spec.ambient_dim, spec.subspace_dim))
         )
-        coeffs = rng.uniform(0.0, 1.0, (spec.subspace_dim, spec.per_class))
-        block = basis @ coeffs
+        coeffs = rng.uniform(0.0, 1.0, (spec.subspace_dim, per))
+        block = X[:, c * per:(c + 1) * per]
+        block[...] = basis @ coeffs
         if spec.noise_sigma > 0:
-            block = block + spec.noise_sigma * rng.standard_normal(block.shape)
-        blocks.append(block)
-        labels.extend([c] * spec.per_class)
-    return Dataset(X=np.hstack(blocks), labels=np.array(labels, dtype=np.int64), C=spec.C)
+            block += spec.noise_sigma * rng.standard_normal(block.shape)
+    labels = np.repeat(np.arange(1, spec.C + 1, dtype=np.int64), per)
+    return Dataset(X=X, labels=labels, C=spec.C)
 
 
 def take_columns(dataset, indices):

@@ -224,6 +224,11 @@ def spd_solve(A, B):
     for non-finite entries (DataError) only when the solve fails, since a
     non-finite entry makes it fail. S has the layout the GEMMs give it
     (row-major); a caller that needs another layout makes it.
+
+    Memory: besides A, B and L^-1 (L is dropped once L^-1 is formed), the
+    solve holds two arrays of B's size at a time: S with ``L^-1 B``, then S
+    with the residual, ``A S`` less B in one buffer. Refinement corrects S
+    and that residual in place, for the failing systems only.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
@@ -252,16 +257,23 @@ def spd_solve(A, B):
     # RuntimeWarnings; the residual must be finite also when ||B|| is not
     with np.errstate(over="ignore", invalid="ignore"):
         inv = _tril_inverse(L)
+        del L
         invT = np.swapaxes(inv, -1, -2)
         S = invT @ (inv @ B)
         norm_b = _frobenius(B)
         bound = SOLVE_RTOL * norm_b
-        resid = B - A @ S
-        norm = _frobenius(resid)
+        R = A @ S
+        R -= B  # the negated residual, in place
+        norm = _frobenius(R)
         bad = ~(np.isfinite(norm) & (norm <= bound))
         if bad.any():
-            S = np.where(bad[..., None, None], S + invT @ (inv @ resid), S)
-            norm = _frobenius(B - A @ S)
+            for i in np.flatnonzero(bad):
+                index = np.unravel_index(i, bad.shape)
+                s, r = S[index], R[index]  # views: refined in place
+                s -= invT[index] @ (inv[index] @ r)
+                np.matmul(A[index], s, out=r)
+                r -= B[index]
+            norm = _frobenius(R)
             bad = ~(np.isfinite(norm) & (norm <= bound))
             if bad.any():
                 index = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -349,6 +350,38 @@ def test_dense_fits_stay_accurate_when_ill_conditioned(monkeypatch, spec, train)
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want), lam
     class_blocks = spec.C if X.shape[0] < X.shape[1] else 0
     assert len(residuals) == 3 * (2 + class_blocks) and max(residuals) <= linalg.SOLVE_RTOL
+
+
+def traced_peak(f):
+    """The most bytes ``f()`` held at once beyond what was held before it,
+    as tracemalloc counts them (numpy's buffers included)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m, sizes", [
+    (504, [32] * 38),  # the Yale-B shape: W is the stacked solve's own output
+    (300, [150, 250, 200, 200]),  # unequal class blocks: W filled group by group
+    (160, [15] * 4),  # m >= n: one n x n solve, the class term built in place
+], ids=["yaleb", "unequal", "m>=n"])
+def test_dense_fits_hold_each_large_array_once(m, sizes):
+    # a fit's peak, in m x n arrays of the operator's size: besides X (and
+    # G, which D holds) a solve holds its result and one working array, and
+    # the Woodbury branch W or a class-block group next to them. A fit that
+    # keeps spare copies (A S beside B - A S, the class blocks beside W)
+    # peaks at 4.15-4.3 (crc, m >= n), 6.1 (unequal) and 7.3 (Yale-B).
+    n = sum(sizes)
+    D = Dictionary(np.asfortranarray(unit_columns(np.random.default_rng(24), m, n)))
+    if m >= n:
+        D.G
+    unit = 8 * m * n
+    assert traced_peak(lambda: fit_crc(D, 1e-3)) <= 3 * unit
+    assert traced_peak(lambda: fit_procrc(D, sizes, 1e-3, 0.5)) <= (4 if m < n else 3) * unit
 
 
 def test_omp_canonical_single_atom():

@@ -399,8 +399,11 @@ def test_random_project_roughly_preserves_distances():
 
 def test_random_project_validation():
     ds = Dataset(X=np.eye(3), labels=[1, 2, 3], C=3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as exc:
         random_project(ds, 4, seed=0)
+    # the one check of a projection's width; compare_methods names the
+    # config key in its place
+    assert str(exc.value) == "target_dim 4 exceeds the dataset's feature dimension 3"
     with pytest.raises(ParameterError):
         random_project(ds, 0, seed=0)
     with pytest.raises(ParameterError, match="target_dim must be an integer"):
@@ -522,6 +525,36 @@ def test_synth_deterministic():
     assert np.array_equal(a.X, b.X)
     c = synth(SynthSpec(C=2, ambient_dim=5, subspace_dim=2, per_class=3, seed=10))
     assert not np.array_equal(a.X, c.X)
+
+
+def synth_by_blocks(spec):
+    """``synth``'s recipe as a list of class blocks, stacked at the end."""
+    rng = np.random.default_rng(spec.seed)
+    blocks = []
+    for _ in range(spec.C):
+        basis, _ = np.linalg.qr(rng.standard_normal((spec.ambient_dim, spec.subspace_dim)))
+        block = basis @ rng.uniform(0.0, 1.0, (spec.subspace_dim, spec.per_class))
+        if spec.noise_sigma > 0:
+            block = block + spec.noise_sigma * rng.standard_normal(block.shape)
+        blocks.append(block)
+    return np.hstack(blocks), np.repeat(np.arange(1, spec.C + 1), spec.per_class)
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(C=38, ambient_dim=504, subspace_dim=12, per_class=40, noise_sigma=0.05, seed=1),
+    SynthSpec(C=10, ambient_dim=50, subspace_dim=5, per_class=120, noise_sigma=0.1, seed=2),
+    SynthSpec(C=3, ambient_dim=12, subspace_dim=3, per_class=8, seed=3),
+    SynthSpec(C=1, ambient_dim=7, subspace_dim=2, per_class=5, noise_sigma=0.3, seed=4),
+    SynthSpec(C=1, ambient_dim=6, subspace_dim=6, per_class=1, seed=5),
+], ids=["yaleb", "small_dict", "noise-free", "C=1", "C=1 noise-free"])
+def test_synth_matches_the_block_recipe_bitwise(spec):
+    # each class block is written into one column-major matrix: the RNG
+    # draws, the values and the labels are those of the blocks stacked
+    X, labels = synth_by_blocks(spec)
+    ds = synth(spec)
+    assert ds.X.flags.f_contiguous
+    assert np.array_equal(ds.X.view(np.uint64), X.view(np.uint64))
+    assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.int64
 
 
 def test_synth_spec_validation():

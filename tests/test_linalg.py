@@ -189,6 +189,29 @@ def test_each_array_layout_has_one_owner(tmp_path, monkeypatch):
             assert np.shares_memory(op, solved[-1]) == (m < n)
 
 
+def test_spd_solve_refinement_rescues_a_system():
+    # eigenvalues from 1 down to 1e-9: the first solve misses the residual
+    # bound and one step of refinement meets it. The in-place refinement
+    # gives bitwise the out-of-place arithmetic S0 + L^-T (L^-1 (B - A S0)),
+    # alone and in a stack with a system that needs no refinement.
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+    A = (Q * np.logspace(0, -9, 50)) @ Q.T
+    B = rng.standard_normal((50, 4))
+    inv = linalg._tril_inverse(np.linalg.cholesky(A))
+    S0 = inv.T @ (inv @ B)
+    bound = linalg.SOLVE_RTOL * np.linalg.norm(B)
+    assert np.linalg.norm(B - A @ S0) > 2 * bound
+    S1 = S0 + inv.T @ (inv @ (B - A @ S0))
+    S = spd_solve(A, B)
+    assert S.tobytes() == S1.tobytes()
+    assert np.linalg.norm(B - A @ S) <= bound
+    E = 2.0 * np.eye(50)
+    stacked = spd_solve(np.stack([A, E, A]), np.stack([B, B, B]))
+    assert stacked[0].tobytes() == stacked[2].tobytes() == S1.tobytes()
+    assert stacked[1].tobytes() == spd_solve(E, B).tobytes()
+
+
 def test_spd_solve_is_a_numerical_error():
     with pytest.raises(NumericalError):
         spd_solve(np.zeros((2, 2)), np.ones((2, 1)))
