@@ -262,21 +262,32 @@ def _omp_columns(D, Y, k, residual_tol):
 
     The columns are pursued in lockstep, in chunks whose state fits
     ``CHUNK_BYTES`` and that share one allocation of it; a column's support
-    does not depend on the other columns. ``k`` and ``residual_tol`` are
-    checked once, the unit norms by ``Dictionary.unit_norms``.
+    does not depend on the other columns. X^T Y before the pursuit and the
+    final residual norms after it are one ``_row_products`` each for the
+    whole batch, so that no chunk pads them to a whole GEMM group; X^T Y
+    (N x n) is held for the batch, as the codes are. ``k`` and ``residual_tol`` are checked once, the unit norms by
+    ``Dictionary.unit_norms``.
     """
     D.unit_norms
     X, G = D.X, D.G
     m, n = X.shape
     check_sparsity(k, m, n)
     check_param("residual_tol", residual_tol, zero_ok=True)
+    N = Y.shape[1]
     # per column: U, L^T, z, the support and a few n- and m-vectors
-    chunks = _chunks(Y.shape[1], 8 * (k * (n + k + 2) + 2 * n + m))
-    w = min(Y.shape[1], chunks[0].stop)
+    chunks = _chunks(N, 8 * (k * (n + k + 2) + 2 * n + m))
+    w = min(N, chunks[0].stop)
     panels = (np.empty((w, k, n)), np.empty((w, k, k)), np.empty((w, k)),
               np.empty((w, k), dtype=np.intp))
-    return [code for cols in chunks
-            for code in _pursue(X, G, Y[:, cols], k, residual_tol, panels)]
+    Yr = np.ascontiguousarray(Y.T)  # N x m, one sample per row
+    corr = _row_products(Yr, X)  # X^T y per row
+    coeffs = np.empty((N, n))
+    supports = [s for cols in chunks
+                for s in _pursue(X, G, Yr[cols], corr[cols], k, residual_tol, panels,
+                                 coeffs[cols])]
+    norms = _residual_norms(X, Yr, coeffs).tolist()
+    return [SparseCode(coeffs=a, support=s, final_residual_norm=r)
+            for a, s, r in zip(coeffs, supports, norms)]
 
 
 def _chunks(N, column_bytes):
@@ -286,30 +297,30 @@ def _chunks(N, column_bytes):
     return [slice(start, start + width) for start in range(0, N, width)]
 
 
-def _pursue(X, G, Y, k, residual_tol, panels):
-    """Lockstep OMP of the columns of Y (Batch-OMP, Rubinstein, Zibulevsky
-    and Elad 2008) in ``panels``, the state of at least as many columns.
-    Row r of each state array belongs to the live column ``cols[r]``; a
-    column that stops is recorded, its residual taken explicitly, and its
-    rows dropped. With L the Cholesky factor of G[S, S], a column keeps
-    L^T, z = L^-1 b_S (b = X^T y), U = L^-1 G[S, :] and its correlations
-    b - U^T z. Atom J adds v = U[:, J], d = sqrt(G[J, J] - v.v),
-    z_i = corr[J] / d and the row (G[J, :] - v^T U) / d of U, the step's
-    one product. The residual test reads ||y||^2 - ||z||^2, or the explicit
-    residual within 8 (i + 1) eps ||y||^2 of ``residual_tol``^2, where
-    rounding could decide it. The coefficients solve L^T x = z. ``X^T y``
-    and the residuals are ``_row_products`` and every other product one
-    per column, so a column's code does not depend on the others.
+def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
+    """Lockstep OMP (Batch-OMP, Rubinstein, Zibulevsky and Elad 2008) of
+    the samples in the rows of Yr, whose X^T y are the rows of ``corr``
+    (updated in place), in ``panels``, the state of at least as many
+    samples. Writes each sample's coefficients into its row of ``coeffs``
+    and returns the supports, in row order. Row r of each state array
+    belongs to the live sample ``cols[r]``; a sample that stops is
+    recorded and its rows dropped. With L the Cholesky factor of G[S, S],
+    a sample keeps L^T, z = L^-1 b_S (b = X^T y), U = L^-1 G[S, :] and its
+    correlations b - U^T z. Atom J adds v = U[:, J], d = sqrt(G[J, J] -
+    v.v), z_i = corr[J] / d and the row (G[J, :] - v^T U) / d of U, the
+    step's one product. The residual test reads ||y||^2 - ||z||^2, or the
+    explicit residual within 8 (i + 1) eps ||y||^2 of ``residual_tol``^2,
+    where rounding could decide it. The coefficients solve L^T x = z. The
+    explicit residuals are ``_row_products`` and every other product one
+    per sample, so a sample's code does not depend on the others.
     """
-    n, N = G.shape[0], Y.shape[1]
+    n, N = G.shape[0], Yr.shape[0]
     U, LT, z, S = panels  # LT[r] holds L^T, upper triangular
-    Yr = np.ascontiguousarray(Y.T)  # N x m, one sample per row
-    corr = _row_products(Yr, X)  # X^T y per row
     rest = np.einsum("rm,rm->r", Yr, Yr)  # ||y||^2 - ||z||^2
     band = (8 * np.finfo(np.float64).eps) * rest  # rest's rounding per atom
     tol2 = float(residual_tol) ** 2
     cols = rows_all = np.arange(N)
-    codes = [None] * N
+    supports = [None] * N
 
     def solve(rows, i):
         """The codes of the live rows ``rows`` at i atoms: L^T x = z."""
@@ -322,10 +333,9 @@ def _pursue(X, G, Y, k, residual_tol, panels):
         return A
 
     def record(rows, i):
-        A = solve(rows, i)
-        norms = _residual_norms(X, Yr[cols[rows]], A).tolist()
-        for c, a, support, norm in zip(cols[rows], A, S[rows, :i], norms):
-            codes[c] = SparseCode(coeffs=a, support=support, final_residual_norm=norm)
+        coeffs[cols[rows]] = solve(rows, i)
+        for c, support in zip(cols[rows].tolist(), S[rows, :i].tolist()):
+            supports[c] = support
 
     for i in range(k):
         w = len(cols)
@@ -366,7 +376,7 @@ def _pursue(X, G, Y, k, residual_tol, panels):
         rest -= zi * zi
     else:
         record(rows_all[:len(cols)], k)
-    return codes
+    return supports
 
 
 def l1_solve(X, y, epsilon, max_iter=DEFAULT_MAX_ITER):
@@ -406,10 +416,12 @@ def _l1_columns(D, Y, epsilon, max_iter):
     N = Y.shape[1]
     codes = np.empty((n, N))
     iterations = np.empty(N, dtype=np.intp)
+    Xr = np.ascontiguousarray(X)  # row-major, for the products by X
     # per column: the iterate, the best one, the gradient and a scratch
     # n-vector, the sample and its residual
     for cols in _chunks(N, 8 * (4 * n + 2 * m)):
-        codes[:, cols], iterations[cols], missed = _shrink(X, Y[:, cols], epsilon, max_iter, step)
+        codes[:, cols], iterations[cols], missed = _shrink(
+            X, Y[:, cols], epsilon, max_iter, step, Xr)
         for j, res in missed:
             warnings.warn(
                 f"l1_solve: column {cols.start + j}: residual {res:.4g} did not reach "
@@ -420,10 +432,11 @@ def _l1_columns(D, Y, epsilon, max_iter):
     return codes, iterations
 
 
-def _shrink(X, Y, epsilon, max_iter, step):
-    """Lockstep iterative shrinkage of the columns of Y: the codes
-    (n x N), the iterations each column ran, and ``(column, best
-    residual)`` of each column that missed ``epsilon``.
+def _shrink(X, Y, epsilon, max_iter, step, Xr):
+    """Lockstep iterative shrinkage of the columns of Y over the
+    column-major X, whose row-major copy is ``Xr``: the codes (n x N), the
+    iterations each column ran, and ``(column, best residual)`` of each
+    column that missed ``epsilon``.
 
     Per column: tau starts at max |X^T y| and halves after every stage; a
     stage ends after 100 steps, when no coefficient moved by more than
@@ -432,15 +445,16 @@ def _shrink(X, Y, epsilon, max_iter, step):
     and when the budget is spent it returns the iterate with the smallest
     residual seen. Row ``r`` of each state array belongs to the live column
     ``cols[r]``; a column that is done is recorded and its rows dropped, so
-    none steps past its own stop.
+    none steps past its own stop. The threshold ``step * tau`` changes
+    only at a stage end, and is formed only there.
 
     Every product (X a - y and X^T of that per step, the stage-end
     residuals and the first X^T y) is a ``_row_products`` GEMM over the
-    live columns, and a norm is a sum over one row. So a column's
-    arithmetic is the same whatever the batch. This matters for a column
-    that cannot reach ``epsilon``: late in the continuation its stage
-    residuals differ by rounding alone, and it picks its best iterate
-    among them.
+    live columns, its right operand read row-major (X^T, a view of X, and
+    ``Xr``), and a norm is a sum over one row. So a column's arithmetic
+    is the same whatever the batch. This matters for a column that cannot
+    reach ``epsilon``: late in the continuation its stage residuals differ
+    by rounding alone, and it picks its best iterate among them.
     """
     XT = X.T
     cols = np.arange(Y.shape[1])
@@ -448,19 +462,21 @@ def _shrink(X, Y, epsilon, max_iter, step):
     A = np.zeros((len(cols), X.shape[1]))
     best = A.copy()
     best_res = np.sqrt(np.einsum("rm,rm->r", Yr, Yr))
-    tau = np.abs(_row_products(Yr, X)).max(axis=1)
+    tau = np.abs(_row_products(Yr, Xr)).max(axis=1)
     inner = np.zeros(len(cols), dtype=np.intp)
     codes = np.empty_like(A)
     iterations = np.empty(len(cols), dtype=np.intp)
     grad_step = 2.0 * step
+    scratch = buffer = np.empty_like(A)
+    t = (step * tau)[:, None]
+    neg_t = -t
     for it in range(1, max_iter + 1):
         R = _row_products(A, XT)
         R -= Yr
-        new = _row_products(R, X)
+        new = _row_products(R, Xr)
         new *= grad_step
         np.subtract(A, new, out=new)
-        t = (step * tau)[:, None]
-        scratch = np.maximum(new, -t)
+        np.maximum(new, neg_t, out=scratch)
         np.minimum(scratch, t, out=scratch)
         new -= scratch  # the soft threshold of new at t: new - clip(new, -t, t)
         np.subtract(new, A, out=scratch)
@@ -489,6 +505,9 @@ def _shrink(X, Y, epsilon, max_iter, step):
             cols, A, best, best_res, tau, inner, Yr = (
                 x[keep] for x in (cols, A, best, best_res, tau, inner, Yr)
             )
+            scratch = buffer[:len(cols)]
+        t = (step * tau)[:, None]
+        neg_t = -t
     codes[cols] = best
     iterations[cols] = max_iter
     return codes.T, iterations, list(zip(cols.tolist(), best_res.tolist()))

@@ -13,7 +13,6 @@ import csv
 import math
 import numbers
 import os
-import secrets
 import struct
 from dataclasses import dataclass, replace
 
@@ -138,7 +137,7 @@ def atomic_write_bytes(path, payload):
     """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(d, f".rcls-tmp-{os.getpid()}-{secrets.token_hex(8)}")
+    tmp = os.path.join(d, f".rcls-tmp-{os.getpid()}-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:

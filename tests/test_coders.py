@@ -719,9 +719,9 @@ def test_omp_columns_do_not_depend_on_order_batch_or_chunks(case, data):
     for budget in budgets:
         widths = []
 
-        def pursue(X_, G, Y_, *rest):
-            widths.append(Y_.shape[1])
-            return real_pursue(X_, G, Y_, *rest)
+        def pursue(X_, G, Yr, *rest):
+            widths.append(Yr.shape[0])  # one sample per row
+            return real_pursue(X_, G, Yr, *rest)
 
         real_pursue = coders._pursue
         with pytest.MonkeyPatch.context() as mp:
@@ -895,9 +895,9 @@ def test_l1_solve_validation():
 
 
 def padded_row(v, B):
-    """``v @ B`` as row 0 of a ``GEMM_ROWS``-row GEMM whose other rows are
-    zero."""
-    P = np.zeros((linalg.GEMM_ROWS, v.shape[0]))
+    """``v @ B`` as row 0 of a ``_group_rows(B)``-row GEMM whose other rows
+    are zero."""
+    P = np.zeros((linalg._group_rows(B), v.shape[0]))
     P[0] = v
     return (P @ B)[0]
 
@@ -908,7 +908,7 @@ def ista_oracle(X, y, epsilon, max_iter, fixed_shape=True):
     "cap" or "budget") and whether the residual reached epsilon.
 
     With ``fixed_shape`` each product is one row of a zero-padded
-    ``GEMM_ROWS``-row GEMM, each norm a row-wise einsum and lambda_max
+    ``_group_rows``-row GEMM, each norm a row-wise einsum and lambda_max
     comes from the smaller of X X^T and X^T X, the arithmetic
     ``_l1_columns`` runs; without, the products are matrix-vector products
     and lambda_max comes from X^T X, as ``l1_solve`` ran before it coded
@@ -1123,10 +1123,10 @@ def test_l1_columns_do_not_depend_on_the_batch_at_a_realistic_shape(monkeypatch)
 
 
 def grouped_row_products(A, B):
-    """``A @ B`` for a C-order A as a loop of ``GEMM_ROWS``-row GEMMs, the
-    last one over zero-padded rows: the arithmetic ``_row_products`` runs
-    as one batched GEMM."""
-    G, w = linalg.GEMM_ROWS, A.shape[0]
+    """``A @ B`` for a C-order A as a loop of ``_group_rows(B)``-row GEMMs,
+    the last one over zero-padded rows: the arithmetic ``_row_products``
+    runs as one batched GEMM."""
+    G, w = linalg._group_rows(B), A.shape[0]
     out = np.empty((-(-w // G) * G, B.shape[1]))
     full = w - w % G
     for g in range(0, full, G):
@@ -1143,25 +1143,95 @@ def test_row_products_do_not_depend_on_the_other_rows():
     # samples (C order) by X and by X^T, as the sparse coders do, by the
     # transpose of a column-major operator, as the dense coders do, and a
     # strided slice of the codes' transpose by a class block's transpose,
-    # as the residual rules do
+    # as the residual rules do; and the small_dict shape, whose operands
+    # take 16-row groups
     rng = np.random.default_rng(23)
     X = np.asfortranarray(unit_columns(rng, 504, 1216))
     M = np.asfortranarray(rng.standard_normal((1216, 504)))
-    codes = rng.standard_normal((1216, 40))
+    codes = rng.standard_normal((1216, 130))
     block = slice(64, 96)
+    small = np.asfortranarray(unit_columns(rng, 50, 200))
     cases = [
-        (rng.standard_normal((40, 1216)), X.T),
-        (rng.standard_normal((40, 504)), X),
-        (rng.standard_normal((40, 504)), M.T),
+        (rng.standard_normal((130, 1216)), X.T),
+        (rng.standard_normal((130, 504)), X),
+        (rng.standard_normal((130, 504)), np.ascontiguousarray(X)),
+        (rng.standard_normal((130, 504)), M.T),
         (codes.T[:, block], X[:, block].T),
+        (rng.standard_normal((130, 200)), small.T),
+        (rng.standard_normal((130, 50)), small),
     ]
+    # group edges at 15-17 and 31-33 rows (16-row groups) and at 63-65
+    # and 128-129 rows (64-row groups)
+    widths = list(range(1, 41)) + [63, 64, 65, 128, 129]
     for rows, B in cases:
-        alone = np.vstack([linalg._row_products(rows[[i]], B) for i in range(40)])
-        for w in range(1, 41):  # group edges at 15-17 and 31-33 rows
+        alone = np.vstack([linalg._row_products(rows[[i]], B) for i in range(130)])
+        for w in widths:
             batch = linalg._row_products(rows[:w], B)
             assert np.array_equal(batch, alone[:w])
             if rows.flags.c_contiguous:
                 assert np.array_equal(batch, grouped_row_products(rows[:w], B))
+
+
+@pytest.mark.parametrize("shape, height", [
+    ((504, 1216), 64),  # X at the Yale-B shape, and its transpose
+    ((1216, 504), 64),
+    ((50, 200), 16),  # X at the small_dict shape
+    ((504, 32), 16),  # a Yale-B class block
+    ((256, 512), 16),  # 2^17 values (1 MiB): the largest of 16-row groups
+    ((257, 512), 64),
+], ids=["yaleb-X", "yaleb-XT", "small_dict-X", "yaleb-block", "1MiB", "over-1MiB"])
+def test_row_products_group_height_follows_the_operand_size(shape, height, monkeypatch):
+    stacks = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b):
+            stacks.append(a.shape)
+            return np.matmul(a, b)
+
+    monkeypatch.setattr(linalg, "np", Numpy())
+    B = np.ones(shape)
+    assert linalg._group_rows(B) == height
+    for w in (1, height - 1, height, height + 1, 3 * height):
+        stacks.clear()
+        out = linalg._row_products(np.ones((w, shape[0])), B)
+        assert out.shape == (w, shape[1])
+        assert stacks == [(-(-w // height), height, shape[0])]
+
+
+def test_omp_columns_multiply_the_batch_by_x_once(monkeypatch):
+    # X^T y and the final residual norms are one product of the whole
+    # batch each, however the pursuit is chunked
+    rng = np.random.default_rng(30)
+    D = Dictionary(unit_columns(rng, 30, 80))
+    Y = rng.standard_normal((30, 20))
+    alone = [omp(D, y, 5) for y in Y.T]
+    products, norms = [], []
+
+    def row_products(A, B):
+        products.append((A.shape[0], B.shape))
+        return linalg._row_products(A, B)
+
+    def residual_norms(X, Yr, A):
+        norms.append(Yr.shape[0])
+        return linalg._residual_norms(X, Yr, A)
+
+    monkeypatch.setattr(coders, "_row_products", row_products)
+    monkeypatch.setattr(coders, "_residual_norms", residual_norms)
+    # one chunk, chunks of one column and chunks of three
+    for budget in (coders.CHUNK_BYTES, 1, 3 * 8 * (5 * (80 + 5 + 2) + 2 * 80 + 30)):
+        products.clear()
+        norms.clear()
+        monkeypatch.setattr(coders, "CHUNK_BYTES", budget)
+        codes = _omp_columns(D, Y, 5, coders.DEFAULT_RESIDUAL_TOL)
+        assert products == [(20, (30, 80))]
+        assert norms == [20]
+        for sc, a in zip(codes, alone):
+            assert sc.support == a.support
+            assert np.array_equal(sc.coeffs, a.coeffs)
+            assert sc.final_residual_norm == a.final_residual_norm
 
 
 @pytest.mark.parametrize("method", ["crc", "procrc", "sa_crc", "sa_procrc"])
