@@ -445,8 +445,7 @@ def _shrink(X, Y, epsilon, max_iter, step, Xr):
     and when the budget is spent it returns the iterate with the smallest
     residual seen. Row ``r`` of each state array belongs to the live column
     ``cols[r]``; a column that is done is recorded and its rows dropped, so
-    none steps past its own stop. The threshold ``step * tau`` changes
-    only at a stage end, and is formed only there.
+    none steps past its own stop.
 
     Every product (X a - y and X^T of that per step, the stage-end
     residuals and the first X^T y) is a ``_row_products`` GEMM over the
@@ -467,16 +466,14 @@ def _shrink(X, Y, epsilon, max_iter, step, Xr):
     codes = np.empty_like(A)
     iterations = np.empty(len(cols), dtype=np.intp)
     grad_step = 2.0 * step
-    scratch = buffer = np.empty_like(A)
-    t = (step * tau)[:, None]
-    neg_t = -t
     for it in range(1, max_iter + 1):
         R = _row_products(A, XT)
         R -= Yr
         new = _row_products(R, Xr)
         new *= grad_step
         np.subtract(A, new, out=new)
-        np.maximum(new, neg_t, out=scratch)
+        t = (step * tau)[:, None]
+        scratch = np.maximum(new, -t)
         np.minimum(scratch, t, out=scratch)
         new -= scratch  # the soft threshold of new at t: new - clip(new, -t, t)
         np.subtract(new, A, out=scratch)
@@ -505,9 +502,6 @@ def _shrink(X, Y, epsilon, max_iter, step, Xr):
             cols, A, best, best_res, tau, inner, Yr = (
                 x[keep] for x in (cols, A, best, best_res, tau, inner, Yr)
             )
-            scratch = buffer[:len(cols)]
-        t = (step * tau)[:, None]
-        neg_t = -t
     codes[cols] = best
     iterations[cols] = max_iter
     return codes.T, iterations, list(zip(cols.tolist(), best_res.tolist()))

@@ -101,13 +101,13 @@ def as_sample(y, m):
 
 def _group_rows(B):
     """The height of each GEMM of ``_row_products`` by B: ``GEMM_ROWS``
-    when B holds at most 2^17 values (1 MiB), else 4 times that.
-    It depends on B alone, so every product by B has one shape. OpenBLAS
-    packs all of B once per call: on one thread, 16 rows by a 504 x 1216
-    X take 0.77 ms and 64 rows 1.7 ms, so 304 rows take 14.8 ms in 16-row
-    groups and 8.7 ms in 64-row groups. At 50 x 200 taller groups gain
-    nothing."""
-    return GEMM_ROWS if B.size <= 1 << 17 else 4 * GEMM_ROWS
+    when B holds fewer than 2^16 values (512 KiB), else 4 times that. It
+    depends on B alone, so every product by B has one shape. OpenBLAS
+    packs all of B once per call, and on one thread 64-row groups took
+    0.60-0.81 times as long as 16-row groups by a B of 65,536 to 612,864
+    values (100 to 1,000 rows), but 1.08-2.54 times as long by one of
+    16,128 to 48,000 values (20 to 304 rows)."""
+    return GEMM_ROWS if B.size < 1 << 16 else 4 * GEMM_ROWS
 
 
 def _row_products(A, B):

@@ -1177,9 +1177,9 @@ def test_row_products_do_not_depend_on_the_other_rows():
     ((1216, 504), 64),
     ((50, 200), 16),  # X at the small_dict shape
     ((504, 32), 16),  # a Yale-B class block
-    ((256, 512), 16),  # 2^17 values (1 MiB): the largest of 16-row groups
-    ((257, 512), 64),
-], ids=["yaleb-X", "yaleb-XT", "small_dict-X", "yaleb-block", "1MiB", "over-1MiB"])
+    ((255, 257), 16),  # 2^16 - 1 values: the largest of 16-row groups
+    ((256, 256), 64),
+], ids=["yaleb-X", "yaleb-XT", "small_dict-X", "yaleb-block", "below-2^16", "2^16"])
 def test_row_products_group_height_follows_the_operand_size(shape, height, monkeypatch):
     stacks = []
 
