@@ -43,6 +43,7 @@ from .data import (
     take_columns,
 )
 from .errors import DataError, DatasetError, NumericalError, ParameterError, RclsError
+from .linalg import check_param
 
 
 class _UsageError(Exception):
@@ -113,6 +114,17 @@ def _add_method_params(p):
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
 
+def _fit(args, train):
+    """``fit_method`` with the method flags. ``--lambda`` is checked here,
+    for every method as a config's ``lambda`` is, so that its error names
+    the flag and not the library's ``lam``."""
+    check_param("lambda", args.lam)
+    return fit_method(
+        args.method, train,
+        lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
+    )
+
+
 def _group_by_class(ds):
     order = np.argsort(ds.labels, kind="stable")
     return take_columns(ds, order)
@@ -141,10 +153,7 @@ def _cmd_classify(args):
     unknown = next((label for label in truth if label not in known), None)
     if unknown is not None:
         raise DatasetError(f"test label {unknown} is not a label of the train file")
-    state = fit_method(
-        args.method, train,
-        lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
-    )
+    state = _fit(args, train)
     predicted = state.decide_all(state.compute_codes(test.X), test.X)[0]
     correct = 0
     for dense_label, want in zip(predicted, truth):
@@ -196,10 +205,7 @@ def _cmd_diag(args):
         raise DataError(f"sample {i} is zero and cannot be normalized")
     ds = normalize_columns(ds)
     train = _group_by_class(take_columns(ds, np.delete(np.arange(ds.n), i)))
-    state = fit_method(
-        args.method, train,
-        lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
-    )
+    state = _fit(args, train)
     decision, written = dump_diagnostics(state, ds.X[:, i], args.out_dir)
     predicted = ds.original_label(decision.predicted_class)
     print(f"sample {i}: true class {label}, predicted {predicted}")

@@ -165,7 +165,7 @@ def _dense_operator(D, slices, lam, gamma):
     gamma > 0. m < n without it: X^T (X X^T + lam I)^-1, one m x m solve.
     m < n with it: Woodbury on a G + B (a = 1 + gamma (C-2)/C,
     B = (gamma/C) blockdiag(G) + lam I) gives W (I + a X W)^-1, with
-    W = B^-1 X^T one stacked solve per class-block size, then one m x m
+    W = B^-1 X^T solved one class block at a time, then one m x m
     solve. The smaller side is the accurate one, as the larger side's
     system has rank min(m, n) plus lam: at lam = 1e-9 a unit sample's ridge
     code errs by 4e-7 relative from an m x m solve at m = 120 > n = 80
@@ -173,13 +173,10 @@ def _dense_operator(D, slices, lam, gamma):
     6e-15). Woodbury stays accurate at m > n (3e-15 to lam = 1e-12), but
     there the class term shares the n x n branch, 3x faster at 3000 x 1500.
 
-    Each large array is held once. With one class-block size (equal
-    classes) W is the stacked solve's own output, reshaped; otherwise it
-    is filled group by group. A group's blocks are freed after its solve,
-    K is symmetrized and the class term added in place. So a fit holds at
-    most 3 m x n arrays at once, plus its m x m or n x n matrices (see
-    ``spd_solve``); filling W group by group, up to 4 when one size
-    covers most classes (the group's blocks, result and residual, and W).
+    Each large array is held once. W is filled class by class, each block
+    solve holding arrays of its block's size only; K is symmetrized and
+    the class term added in place. So a fit holds at most 3 m x n arrays
+    at once, plus its m x m or n x n matrices (see ``spd_solve``).
     """
     X = D.X
     m, n = X.shape
@@ -199,23 +196,14 @@ def _dense_operator(D, slices, lam, gamma):
         A[np.diag_indices(m)] += lam
         return spd_solve(A, X).T
     a = 1.0 + gamma * (C - 2) / C
-    sizes = sorted({sl.stop - sl.start for sl in slices})
-    W = None if len(sizes) == 1 else np.empty((n, m))
-    for size in sizes:
-        group = [sl for sl in slices if sl.stop - sl.start == size]
-        Xs = np.stack([X[:, sl] for sl in group])  # the blocks of this size
-        XsT = np.swapaxes(Xs, 1, 2)
-        B = XsT @ Xs
+    W = np.empty((n, m))
+    for sl in slices:
+        Xi = X[:, sl]  # a view of the class block
+        B = Xi.T @ Xi
         B *= gamma / C
-        B[:, np.arange(size), np.arange(size)] += lam
-        Ws = spd_solve(B, XsT)
-        del Xs, XsT, B
-        if len(sizes) == 1:  # the blocks are all of X, in order
-            W = Ws.reshape(n, m)
-        else:
-            for i, sl in enumerate(group):
-                W[sl] = Ws[i]
-        del Ws
+        B[np.diag_indices(sl.stop - sl.start)] += lam
+        W[sl] = spd_solve(B, Xi.T)
+    del B  # the last class's system, as large as its block is wide
     K = X @ W  # X B^-1 X^T, symmetric up to rounding
     K += K.T
     K *= 0.5 * a
@@ -308,11 +296,15 @@ def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
     a sample keeps L^T, z = L^-1 b_S (b = X^T y), U = L^-1 G[S, :] and its
     correlations b - U^T z. Atom J adds v = U[:, J], d = sqrt(G[J, J] -
     v.v), z_i = corr[J] / d and the row (G[J, :] - v^T U) / d of U, the
-    step's one product. The residual test reads ||y||^2 - ||z||^2, or the
-    explicit residual within 8 (i + 1) eps ||y||^2 of ``residual_tol``^2,
-    where rounding could decide it. The coefficients solve L^T x = z. The
-    explicit residuals are ``_row_products`` and every other product one
-    per sample, so a sample's code does not depend on the others.
+    step's one product. J's correlation, then 0 up to rounding, is set
+    to 0: a chosen atom is the best again only when no atom has
+    correlation left, or by rounding alone with a pivot of about 0, and
+    either way the sample stops. The residual test reads
+    ||y||^2 - ||z||^2, or the explicit residual within 8 (i + 1) eps
+    ||y||^2 of ``residual_tol``^2, where rounding could decide it. The
+    coefficients solve L^T x = z. The explicit residuals are
+    ``_row_products`` and every other product one per sample, so a
+    sample's code does not depend on the others.
     """
     n, N = G.shape[0], Yr.shape[0]
     U, LT, z, S = panels  # LT[r] holds L^T, upper triangular
@@ -345,7 +337,6 @@ def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
         if near.size:
             small[near] = _residual_norms(X, Yr[cols[near]], solve(near, i)) <= residual_tol
         a = np.abs(corr)
-        a[live[:, None], S[:w, :i]] = -1.0
         J = a.argmax(axis=1)
         v = U[live, :i, J]
         gjj = G[J, J]
@@ -373,6 +364,7 @@ def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
         S[:w, i] = J
         U[:w, i] = (G.T[J] - np.matmul(v[:, None, :], U[:w, :i])[:, 0]) / d[:, None]
         corr -= zi[:, None] * U[:w, i]
+        corr[rows_all[:w], J] = 0.0  # so that a chosen atom has none left
         rest -= zi * zi
     else:
         record(rows_all[:len(cols)], k)

@@ -220,8 +220,7 @@ def gram(X):
 
 
 def spd_solve(A, B):
-    """Solve A S = B for symmetric positive definite A, or each system of a
-    stack: A of shape (..., k, k) and B of shape (..., k, r).
+    """Solve A S = B for a symmetric positive definite k x k A and a k x r B.
 
     ``np.linalg.cholesky`` factors A = L L^T, and is the check that A is
     positive definite. L^-1 is formed by halves (``_tril_inverse``) and
@@ -230,27 +229,27 @@ def spd_solve(A, B):
     failed the residual check even after refinement, where L^-1 applied
     twice left residuals below 1e-12 (see README.md).
 
-    Each system's residual is checked, ||A S - B||_F <= SOLVE_RTOL *
-    ||B||_F, and a system that falls short gets one step of iterative
-    refinement through the same two GEMMs; a residual that is not finite
-    fails the check. A system that is not positive definite raises
-    SingularMatrixError naming its failing pivot. The operands are scanned
-    for non-finite entries (DataError) only when the solve fails, since a
-    non-finite entry makes it fail. S has the layout the GEMMs give it
-    (row-major); a caller that needs another layout makes it.
+    The residual is checked, ||A S - B||_F <= SOLVE_RTOL * ||B||_F, and a
+    solve that falls short gets one step of iterative refinement through
+    the same two GEMMs; a residual that is not finite fails the check. An
+    A that is not positive definite raises SingularMatrixError naming its
+    failing pivot. The operands are scanned for non-finite entries
+    (DataError) only when the solve fails, since a non-finite entry makes
+    it fail. S has the layout the GEMMs give it (row-major); a caller that
+    needs another layout makes it.
 
     Memory: besides A, B and L^-1 (L is dropped once L^-1 is formed), the
     solve holds two arrays of B's size at a time: S with ``L^-1 B``, then S
     with the residual, ``A S`` less B in one buffer. Refinement corrects S
-    and that residual in place, for the failing systems only.
+    and that residual in place.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
-        raise DimensionError(f"A must be square and nonempty, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise DimensionError(f"A must be square, 2-D and nonempty, got shape {A.shape}")
     B = np.asarray(B, dtype=np.float64)
-    if B.ndim != A.ndim:
-        raise DimensionError(f"B must be {A.ndim}-D, got ndim={B.ndim}")
-    if B.shape[:-1] != A.shape[:-1] or B.size == 0:
+    if B.ndim != 2:
+        raise DimensionError(f"B must be 2-D, got ndim={B.ndim}")
+    if B.shape[0] != A.shape[0] or B.size == 0:
         raise DimensionError(f"B must be nonempty with the rows of A {A.shape}, got shape {B.shape}")
 
     def fail(error):
@@ -261,10 +260,9 @@ def spd_solve(A, B):
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        index, pivot = _failing_pivot(A)
+        pivot = _failing_pivot(A)
         fail(SingularMatrixError(
-            f"{_system(index)}matrix is not positive definite: pivot {pivot} failed",
-            pivot=pivot,
+            f"matrix is not positive definite: pivot {pivot} failed", pivot=pivot,
         ))
 
     # overflow and NaN show as a residual that fails the check, not as
@@ -272,77 +270,61 @@ def spd_solve(A, B):
     with np.errstate(over="ignore", invalid="ignore"):
         inv = _tril_inverse(L)
         del L
-        invT = np.swapaxes(inv, -1, -2)
-        S = invT @ (inv @ B)
+        S = inv.T @ (inv @ B)
         norm_b = _frobenius(B)
         bound = SOLVE_RTOL * norm_b
         R = A @ S
         R -= B  # the negated residual, in place
         norm = _frobenius(R)
-        bad = ~(np.isfinite(norm) & (norm <= bound))
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                index = np.unravel_index(i, bad.shape)
-                s, r = S[index], R[index]  # views: refined in place
-                s -= invT[index] @ (inv[index] @ r)
-                np.matmul(A[index], s, out=r)
-                r -= B[index]
+        if not (np.isfinite(norm) and norm <= bound):
+            S -= inv.T @ (inv @ R)
+            np.matmul(A, S, out=R)
+            R -= B
             norm = _frobenius(R)
-            bad = ~(np.isfinite(norm) & (norm <= bound))
-            if bad.any():
-                index = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+            if not (np.isfinite(norm) and norm <= bound):
                 fail(NumericalError(
-                    f"{_system(index)}SPD solve residual exceeds tolerance after "
-                    f"refinement ({norm[index]:.3e} > {SOLVE_RTOL:.0e} * {norm_b[index]:.3e})"
+                    f"SPD solve residual exceeds tolerance after refinement "
+                    f"({norm:.3e} > {SOLVE_RTOL:.0e} * {norm_b:.3e})"
                 ))
     return S
 
 
-def _system(index):
-    """The prefix of an error message about system ``index`` of a stack."""
-    return f"system {', '.join(map(str, index))} of the stack: " if index else ""
-
-
 def _frobenius(a):
-    """The Frobenius norm of each matrix of the stack ``a``, in one pass
-    without the temporary that ``np.linalg.norm`` over two axes makes."""
-    return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    """The Frobenius norm of the matrix ``a``, in one pass without the
+    temporary that ``np.linalg.norm`` makes."""
+    return np.sqrt(np.einsum("ij,ij->", a, a))
 
 
 def _tril_inverse(L):
-    """The inverse of each lower-triangular L of a stack (..., k, k), by
-    halves: the inverse of [[L11, 0], [L21, L22]] is
-    [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]. A diagonal block of at
-    most 32 rows is inverted by ``np.linalg.inv``; the rest is GEMMs."""
-    k = L.shape[-1]
+    """The inverse of the lower-triangular k x k L, by halves: the inverse
+    of [[L11, 0], [L21, L22]] is [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].
+    A diagonal block of at most 32 rows is inverted by ``np.linalg.inv``;
+    the rest is GEMMs."""
+    k = L.shape[0]
     if k <= 32:
         return np.linalg.inv(L)
     h = k // 2
-    inv11 = _tril_inverse(L[..., :h, :h])
-    inv22 = _tril_inverse(L[..., h:, h:])
+    inv11 = _tril_inverse(L[:h, :h])
+    inv22 = _tril_inverse(L[h:, h:])
     inv = np.zeros(L.shape)
-    inv[..., :h, :h] = inv11
-    inv[..., h:, h:] = inv22
-    inv[..., h:, :h] = -(inv22 @ (L[..., h:, :h] @ inv11))
+    inv[:h, :h] = inv11
+    inv[h:, h:] = inv22
+    inv[h:, :h] = -(inv22 @ (L[h:, :h] @ inv11))
     return inv
 
 
 def _failing_pivot(A):
-    """The index in the stack A of the first matrix that is not positive
-    definite, and its failing pivot (0-based): the leading block whose
-    Cholesky factorization fails first, found by bisection."""
-    for index in np.ndindex(A.shape[:-2]):
-        M = A[index]
-        if _factors(M):
-            continue
-        ok, fails = 0, M.shape[-1]  # sizes of leading blocks that factor, fail
-        while fails - ok > 1:
-            mid = (ok + fails) // 2
-            if _factors(M[:mid, :mid]):
-                ok = mid
-            else:
-                fails = mid
-        return index, fails - 1
+    """The failing pivot (0-based) of the k x k A, which is not positive
+    definite: the leading block whose Cholesky factorization fails first,
+    found by bisection."""
+    ok, fails = 0, A.shape[0]  # sizes of leading blocks that factor, fail
+    while fails - ok > 1:
+        mid = (ok + fails) // 2
+        if _factors(A[:mid, :mid]):
+            ok = mid
+        else:
+            fails = mid
+    return fails - 1
 
 
 def _factors(M):

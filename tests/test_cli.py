@@ -505,7 +505,7 @@ def test_csv_dataset_in_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method, flag, param", [
-    ("crc", "--lambda", "lam"), ("procrc", "--gamma", "gamma"),
+    ("crc", "--lambda", "lambda"), ("procrc", "--gamma", "gamma"),
     ("src", "--epsilon", "epsilon"),
 ])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -524,9 +524,25 @@ def test_classify_non_finite_parameter_exits_one(
     assert err.startswith(f"error: ParameterError: {param} must be finite")
 
 
+@pytest.mark.parametrize("method", ["crc", "src"])
+@pytest.mark.parametrize("command", ["classify", "diag"])
+def test_out_of_range_lambda_is_named_as_the_flag(tmp_path, capsys, command, method):
+    # the error names lambda, as a config's does, and not the library's
+    # lam, for every method, also one that does not read it
+    data = make_data(tmp_path)
+    capsys.readouterr()
+    where = (["--test", str(data)] if command == "classify"
+             else ["--sample-index", "0", "--out-dir", str(tmp_path / "diag")])
+    rc = cli.main([command, "--train", str(data), *where, "--method", method, "--lambda", "-1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ParameterError: lambda must be finite and > 0, got -1.0\n"
+
+
 def test_fits_and_every_command_load_no_scipy(tmp_path):
     # rcls runs on numpy alone: fitting the dense and sparsity-augmented
-    # coders (m < n, so procrc's class blocks are a stacked solve) and every
+    # coders (m < n, so procrc solves its class blocks one by one) and every
     # command, run in one process, leave scipy unloaded
     data, csv, cfg = tmp_path / "d.rcls", tmp_path / "d.csv", tmp_path / "cmp.yaml"
     cfg.write_text(CONFIG.replace("method: crc", "methods: [src, crc, procrc, sa_crc, sa_procrc]\nk: 4"))

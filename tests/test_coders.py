@@ -229,7 +229,7 @@ DENSE_CASES = {
     "C2": (lambda n: [n // 2, n - n // 2], 0.5, False),
     "gamma0": (lambda n: [4, n - 4], 0.0, False),
     "unequal": (lambda n: [2, n - 7, 5], 1.5, False),
-    "repeated": (lambda n: [3, n - 6, 3], 1.5, False),  # one stacked solve of two blocks
+    "repeated": (lambda n: [3, n - 6, 3], 1.5, False),  # two class blocks of one size
     "duplicate": (lambda n: [n // 2, n - n // 2], 0.5, True),
 }
 
@@ -262,10 +262,10 @@ def test_dense_fits_below_n_features_solve_m_by_m_and_build_no_gram(monkeypatch)
     monkeypatch.setattr(coders, "spd_solve", lambda A, B: solves.append(A.shape) or spd_solve(A, B))
     X = unit_columns(rng, 8, 20)
     fit_crc(X, 0.01)
-    fit_procrc(X, [6, 9, 5], 0.01, 0.5)  # one stacked solve per block size, then one m x m
+    fit_procrc(X, [6, 9, 5], 0.01, 0.5)  # one solve per class block, then one m x m
     fit_procrc(X, [20], 0.01, 0.5)  # C = 1 is the ridge coder
     assert grams == []
-    assert solves == [(8, 8), (1, 5, 5), (1, 6, 6), (1, 9, 9), (8, 8), (8, 8)]
+    assert solves == [(8, 8), (6, 6), (9, 9), (5, 5), (8, 8), (8, 8)]
     grams.clear()
     solves.clear()
     X = unit_columns(rng, 20, 8)
@@ -365,16 +365,16 @@ def traced_peak(f):
 
 
 @pytest.mark.parametrize("m, sizes", [
-    (504, [32] * 38),  # the Yale-B shape: W is the stacked solve's own output
-    (300, [150, 250, 200, 200]),  # unequal class blocks: W filled group by group
+    (504, [32] * 38),  # the Yale-B shape
+    (300, [150, 250, 200, 200]),  # unequal and wide class blocks
     (160, [15] * 4),  # m >= n: one n x n solve, the class term built in place
 ], ids=["yaleb", "unequal", "m>=n"])
 def test_dense_fits_hold_each_large_array_once(m, sizes):
     # a fit's peak, in m x n arrays of the operator's size: besides X (and
     # G, which D holds) a solve holds its result and one working array, and
-    # the Woodbury branch W or a class-block group next to them. A fit that
-    # keeps spare copies (A S beside B - A S, the class blocks beside W)
-    # peaks at 4.15-4.3 (crc, m >= n), 6.1 (unequal) and 7.3 (Yale-B).
+    # the Woodbury branch W next to them. A fit that keeps spare copies
+    # (A S beside B - A S, the class blocks beside W) peaks at 4.15-4.3
+    # (crc, m >= n), 6.1 (unequal) and 7.3 (Yale-B).
     n = sum(sizes)
     D = Dictionary(np.asfortranarray(unit_columns(np.random.default_rng(24), m, n)))
     if m >= n:

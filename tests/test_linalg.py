@@ -119,35 +119,6 @@ def test_spd_solve_names_failing_pivot():
         with pytest.raises(SingularMatrixError, match=f"^matrix is not positive definite: pivot {k} failed$") as exc:
             spd_solve(indefinite(k), np.ones((64, 2)))
         assert exc.value.pivot == k
-    # in a stack, the first system that fails is named with its pivot
-    A = np.stack([np.eye(64), indefinite(17), indefinite(40)])
-    with pytest.raises(SingularMatrixError, match="^system 1 of the stack: .* pivot 17 failed$") as exc:
-        spd_solve(A, np.ones((3, 64, 2)))
-    assert exc.value.pivot == 17
-    A[2, 5, 3] = np.nan
-    with pytest.raises(DataError, match="A contains non-finite entries"):
-        spd_solve(A, np.ones((3, 64, 2)))
-    B = np.ones((3, 64, 2))
-    B[1, 0, 0] = np.nan
-    with pytest.raises(DataError, match="B contains non-finite entries"):
-        spd_solve(np.stack([np.eye(64)] * 3), B)
-
-
-def test_spd_solve_stack_solves_each_system_as_alone():
-    rng = np.random.default_rng(12)
-    for k, r in ((5, 3), (40, 50), (70, 9)):
-        M = rng.standard_normal((4, k + 3, k))
-        A = np.swapaxes(M, 1, 2) @ M + 0.1 * np.eye(k)
-        B = rng.standard_normal((4, k, r))
-        S = spd_solve(A, B)
-        assert S.shape == (4, k, r)
-        for i in range(4):
-            assert np.array_equal(S[i], spd_solve(A[i], B[i]))
-            assert np.linalg.norm(A[i] @ S[i] - B[i]) <= linalg.SOLVE_RTOL * np.linalg.norm(B[i])
-    with pytest.raises(DimensionError, match="B must be 3-D"):
-        spd_solve(A, B[0])
-    with pytest.raises(DimensionError):
-        spd_solve(A, B[:3])
 
 
 def test_each_array_layout_has_one_owner(tmp_path, monkeypatch):
@@ -192,8 +163,7 @@ def test_each_array_layout_has_one_owner(tmp_path, monkeypatch):
 def test_spd_solve_refinement_rescues_a_system():
     # eigenvalues from 1 down to 1e-9: the first solve misses the residual
     # bound and one step of refinement meets it. The in-place refinement
-    # gives bitwise the out-of-place arithmetic S0 + L^-T (L^-1 (B - A S0)),
-    # alone and in a stack with a system that needs no refinement.
+    # gives bitwise the out-of-place arithmetic S0 + L^-T (L^-1 (B - A S0)).
     rng = np.random.default_rng(1)
     Q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
     A = (Q * np.logspace(0, -9, 50)) @ Q.T
@@ -206,10 +176,6 @@ def test_spd_solve_refinement_rescues_a_system():
     S = spd_solve(A, B)
     assert S.tobytes() == S1.tobytes()
     assert np.linalg.norm(B - A @ S) <= bound
-    E = 2.0 * np.eye(50)
-    stacked = spd_solve(np.stack([A, E, A]), np.stack([B, B, B]))
-    assert stacked[0].tobytes() == stacked[2].tobytes() == S1.tobytes()
-    assert stacked[1].tobytes() == spd_solve(E, B).tobytes()
 
 
 def test_spd_solve_is_a_numerical_error():
@@ -254,6 +220,8 @@ def test_spd_solve_shape_errors():
         spd_solve(np.eye(3), np.ones((2, 2)))
     with pytest.raises(DimensionError, match="B must be 2-D"):
         spd_solve(np.eye(3), np.ones(3))
+    with pytest.raises(DimensionError, match="A must be square, 2-D"):  # one system, not a stack
+        spd_solve(np.stack([np.eye(3)] * 2), np.ones((2, 3, 1)))
 
 
 def test_dictionary_checks_once_and_keeps_the_callers_array_writeable():
