@@ -33,7 +33,6 @@ from .classify import (
     split_blocks,
 )
 from .coders import (
-    DEFAULT_MAX_ITER,
     DEFAULT_RESIDUAL_TOL,
     DEFAULT_SPARSITY,
     _l1_columns,
@@ -73,13 +72,25 @@ DEFAULT_EPSILON = 0.05
 DEFAULT_TRIALS = 10
 
 
+def check_method(method, lam, gamma, k, epsilon, error):
+    """Raise ConfigError on an unknown method, ``error`` unless lambda,
+    gamma, k and epsilon (in that order) are finite and > 0, finite and
+    >= 0, an integer >= 1 and finite and > 0, read by the method or not."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    check_param("lambda", lam, error=error)
+    check_param("gamma", gamma, zero_ok=True, error=error)
+    check_integer("k", k, 1, error)
+    check_param("epsilon", epsilon, error=error)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a repeated-trial run depends on.
 
     ``dataset`` is either a file path (str) or a SynthSpec. Every field
-    is type- and range-checked here, whether or not ``method`` uses it;
-    ``projection_dim`` None means no projection.
+    is type- and range-checked here, the method and its options first by
+    ``check_method``; ``projection_dim`` None means no projection.
     """
 
     dataset: object
@@ -94,19 +105,14 @@ class ExperimentConfig:
     projection_dim: int | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(
-                f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
-            )
+        check_method(self.method, self.lam, self.gamma, self.k, self.epsilon, ConfigError)
         if not isinstance(self.dataset, (str, os.PathLike, SynthSpec)):
             raise ConfigError("dataset must be a file path or a SynthSpec")
-        for name in ("per_class_train", "trials", "k"):
+        for name in ("per_class_train", "trials"):
             check_integer(name, getattr(self, name), 1, ConfigError)
         check_integer("base_seed", self.base_seed, 0, ConfigError)
         if self.projection_dim is not None:
             check_integer("projection_dim", self.projection_dim, 1, ConfigError)
-        for name in ("lam", "gamma", "epsilon"):
-            check_param(name, getattr(self, name), zero_ok=name == "gamma", error=ConfigError)
 
 
 @dataclass(frozen=True)
@@ -258,19 +264,15 @@ def fit_method(
     or built here, after the parameters, so coding a sample builds and
     checks nothing: the unit norms (``sa_*``, ``src``; ``crc`` and ``procrc``
     take any columns), G for OMP (``sa_*``) and the step bound (``src``).
-    The dense fits and the step bound read G only when m >= n.
+    The dense fits and the step bound read G only when m >= n. All options
+    pass ``check_method`` first, for every method; ``sa_*`` needs k <= min(m, n).
     """
-    if method not in METHODS:
-        raise ConfigError(
-            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-        )
+    check_method(method, lam, gamma, k, epsilon, ParameterError)
     labels = np.asarray(train.labels)
     if (np.diff(labels) < 0).any():
         raise DatasetError("training columns must be grouped by class")
     if method.startswith("sa_"):
         check_sparsity(k, train.m, train.n)
-    elif method == "src":
-        check_param("epsilon", epsilon)
     sizes = train.class_sizes
     blocks = split_blocks(train.X, sizes)
     D = Dictionary(train.X)
@@ -278,7 +280,7 @@ def fit_method(
         D.unit_norms
         D.lipschitz  # the l1 step bound is part of the fit, not of a sample
         def coder(Y):
-            return _l1_columns(D, as_samples(Y, train.m), epsilon, DEFAULT_MAX_ITER)[0]
+            return _l1_columns(D, as_samples(Y, train.m), epsilon)[0]
 
         return _FittedResidual(method, coder, residual_scores, blocks)
     if method in ("crc", "sa_crc"):

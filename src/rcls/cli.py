@@ -43,7 +43,6 @@ from .data import (
     take_columns,
 )
 from .errors import DataError, DatasetError, NumericalError, ParameterError, RclsError
-from .linalg import check_param
 
 
 class _UsageError(Exception):
@@ -115,10 +114,7 @@ def _add_method_params(p):
 
 
 def _fit(args, train):
-    """``fit_method`` with the method flags. ``--lambda`` is checked here,
-    for every method as a config's ``lambda`` is, so that its error names
-    the flag and not the library's ``lam``."""
-    check_param("lambda", args.lam)
+    """``fit_method`` with the method flags, checked as a config's keys are."""
     return fit_method(
         args.method, train,
         lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,

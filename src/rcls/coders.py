@@ -32,7 +32,8 @@ from .linalg import (
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_SPARSITY = 50
-DEFAULT_MAX_ITER = 2000
+# The l1 solver's iteration budget per sample.
+MAX_ITER = 2000
 # Squared distance from the span of the support, relative to the atom's
 # squared norm, at or below which OMP treats a chosen atom as dependent
 # (sin of its angle to the span at most 1e-5).
@@ -113,7 +114,7 @@ def fit_crc(X, lam):
     or a Dictionary) as one class, solved on the smaller, accurate side.
     """
     D = as_dictionary(X)
-    check_param("lam", lam)
+    check_param("lambda", lam)
     return CrcProjector(P=_dense_operator(D, [slice(0, D.X.shape[1])], lam, 0.0))
 
 
@@ -150,7 +151,7 @@ def fit_procrc(X, class_sizes, lam, gamma):
     accurate side; with C = 1 or gamma = 0 it is ``fit_crc``'s P.
     """
     D = as_dictionary(X)
-    check_param("lam", lam)
+    check_param("lambda", lam)
     check_param("gamma", gamma, zero_ok=True)
     n = D.X.shape[1]
     slices = class_slices(class_sizes, n, f"X has {n} columns")
@@ -253,8 +254,8 @@ def _omp_columns(D, Y, k, residual_tol):
     does not depend on the other columns. X^T Y before the pursuit and the
     final residual norms after it are one ``_row_products`` each for the
     whole batch, so that no chunk pads them to a whole GEMM group; X^T Y
-    (N x n) is held for the batch, as the codes are. ``k`` and ``residual_tol`` are checked once, the unit norms by
-    ``Dictionary.unit_norms``.
+    (N x n) is held for the batch, as the codes are. ``k`` and ``residual_tol``
+    are checked once, the unit norms by ``Dictionary.unit_norms``.
     """
     D.unit_norms
     X, G = D.X, D.G
@@ -371,39 +372,38 @@ def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
     return supports
 
 
-def l1_solve(X, y, epsilon, max_iter=DEFAULT_MAX_ITER):
+def l1_solve(X, y, epsilon):
     """Approximate solver for the error-constrained l1 coding problem.
 
     Runs iterative shrinkage on the penalized form
     ``min ||y - X a||^2 + tau ||a||_1`` with tau decreased geometrically
-    (continuation) until the residual norm reaches ``epsilon`` or the
-    iteration budget is spent. On non-convergence the best iterate seen (by
-    residual norm) is returned and a ConvergenceWarning is issued.
+    (continuation) until the residual norm reaches ``epsilon`` or
+    ``MAX_ITER`` steps are spent. On non-convergence the best iterate seen
+    (by residual norm) is returned and a ConvergenceWarning is issued.
 
     This is ``as_sample`` and the one-column case of ``_l1_columns``, which
     codes many samples at once. ``X`` is a matrix or, to compute the step
     bound 2 * lambda_max(X^T X) once for many samples, a Dictionary.
     """
     D = as_dictionary(X)
-    return _l1_columns(D, as_sample(y, D.X.shape[0]), epsilon, max_iter)[0][:, 0]
+    return _l1_columns(D, as_sample(y, D.X.shape[0]), epsilon)[0][:, 0]
 
 
-def _l1_columns(D, Y, epsilon, max_iter):
+def _l1_columns(D, Y, epsilon):
     """``l1_solve`` of every column of Y (m x N, already checked) over the
     Dictionary D: the codes (n x N) and the iterations each column ran.
 
     The columns are shrunk in lockstep, in chunks whose state fits
     ``CHUNK_BYTES``; a column's code and iteration count are bitwise the
     same whatever the other columns, their order or the chunks.
-    ``epsilon`` and ``max_iter`` are checked once, the unit norms by
+    ``epsilon`` is checked once, the unit norms by
     ``Dictionary.unit_norms``, and each column that misses ``epsilon``
-    issues one ConvergenceWarning naming it.
+    within ``MAX_ITER`` steps issues one ConvergenceWarning naming it.
     """
     D.unit_norms
     X = D.X
     m, n = X.shape
     check_param("epsilon", epsilon)
-    check_integer("max_iter", max_iter, 1)
     step = 1.0 / D.lipschitz
     N = Y.shape[1]
     codes = np.empty((n, N))
@@ -413,18 +413,18 @@ def _l1_columns(D, Y, epsilon, max_iter):
     # n-vector, the sample and its residual
     for cols in _chunks(N, 8 * (4 * n + 2 * m)):
         codes[:, cols], iterations[cols], missed = _shrink(
-            X, Y[:, cols], epsilon, max_iter, step, Xr)
+            X, Y[:, cols], epsilon, step, Xr)
         for j, res in missed:
             warnings.warn(
                 f"l1_solve: column {cols.start + j}: residual {res:.4g} did not reach "
-                f"epsilon={epsilon:.4g} within {max_iter} iterations",
+                f"epsilon={epsilon:.4g} within {MAX_ITER} iterations",
                 ConvergenceWarning,
                 stacklevel=3,
             )
     return codes, iterations
 
 
-def _shrink(X, Y, epsilon, max_iter, step, Xr):
+def _shrink(X, Y, epsilon, step, Xr):
     """Lockstep iterative shrinkage of the columns of Y over the
     column-major X, whose row-major copy is ``Xr``: the codes (n x N), the
     iterations each column ran, and ``(column, best residual)`` of each
@@ -432,7 +432,7 @@ def _shrink(X, Y, epsilon, max_iter, step, Xr):
 
     Per column: tau starts at max |X^T y| and halves after every stage; a
     stage ends after 100 steps, when no coefficient moved by more than
-    1e-10 (1 + max |a|), or when ``max_iter`` steps are spent. At a stage
+    1e-10 (1 + max |a|), or when ``MAX_ITER`` steps are spent. At a stage
     end the residual is taken: at or below ``epsilon`` the column is done,
     and when the budget is spent it returns the iterate with the smallest
     residual seen. Row ``r`` of each state array belongs to the live column
@@ -458,7 +458,7 @@ def _shrink(X, Y, epsilon, max_iter, step, Xr):
     codes = np.empty_like(A)
     iterations = np.empty(len(cols), dtype=np.intp)
     grad_step = 2.0 * step
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         R = _row_products(A, XT)
         R -= Yr
         new = _row_products(R, Xr)
@@ -473,7 +473,7 @@ def _shrink(X, Y, epsilon, max_iter, step, Xr):
         A = new
         inner += 1
         amax = np.abs(A, out=scratch).max(axis=1)
-        end = (delta <= 1e-10 * (1.0 + amax)) | (inner == 100) | (it == max_iter)
+        end = (delta <= 1e-10 * (1.0 + amax)) | (inner == 100) | (it == MAX_ITER)
         if not end.any():
             continue
         e = np.flatnonzero(end)
@@ -495,5 +495,5 @@ def _shrink(X, Y, epsilon, max_iter, step, Xr):
                 x[keep] for x in (cols, A, best, best_res, tau, inner, Yr)
             )
     codes[cols] = best
-    iterations[cols] = max_iter
+    iterations[cols] = MAX_ITER
     return codes.T, iterations, list(zip(cols.tolist(), best_res.tolist()))

@@ -110,7 +110,8 @@ def test_config_rejects_bad_parameter_ranges():
 ])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_parameters(method, param, value):
-    with pytest.raises(ConfigError, match=f"{param} must be finite"):
+    name = "lambda" if param == "lam" else param  # the config key, as in messages
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
         ExperimentConfig(
             dataset=CLEAN, method=method, per_class_train=4, **{param: value}
         )
@@ -129,6 +130,35 @@ def test_config_requires_method_parameters():
     # parameters a method does not use are checked all the same
     with pytest.raises(ConfigError, match="epsilon must be a number, got None"):
         ExperimentConfig(dataset=CLEAN, method="crc", per_class_train=4, epsilon=None)
+
+
+NAN, INF = float("nan"), float("inf")
+# each option's bad values: lambda and epsilon must be finite and > 0, gamma
+# finite and >= 0, k an integer >= 1
+BAD_OPTIONS = [
+    ("lam", "lambda", [-1, 0, NAN, INF, True, None]),
+    ("gamma", "gamma", [-1, NAN, INF, True, None]),
+    ("k", "k", [-1, 0, NAN, INF, True, None, 2.5]),
+    ("epsilon", "epsilon", [-1, 0, NAN, INF, True, None]),
+]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_gets_one_verdict_on_every_option(method):
+    # fit_method and a config check all four options for every method,
+    # whether or not it reads them, and reject each bad value with one text
+    train = grouped_train(CLEAN)
+    for param, name, values in BAD_OPTIONS:
+        for value in values:
+            with pytest.raises(ParameterError) as fit:
+                fit_method(method, train, **{param: value})
+            with pytest.raises(ConfigError) as cfg:
+                ExperimentConfig(dataset=CLEAN, method=method, per_class_train=4,
+                                 **{param: value})
+            assert type(fit.value) is ParameterError
+            assert str(fit.value) == str(cfg.value)
+            assert str(fit.value).startswith(f"{name} must be ")
+            assert str(fit.value).endswith(f", got {value}")
 
 
 def test_config_rejects_non_path_dataset():
@@ -227,10 +257,10 @@ def test_sa_k_above_dictionary_size_fails_at_fit_time(monkeypatch):
     train = grouped_train(spec, per_class_train=10)
     fit_method("sa_crc", train, k=10)
     for method in ("src", "crc", "procrc"):
-        fit_method(method, train, k=11)  # k is not used by these
+        fit_method(method, train, k=11)  # k <= min(m, n) is the pursuit's range
     for k in (2.5, True, 2.0, "2"):
-        for method in ("sa_crc", "sa_procrc"):
-            with pytest.raises(ParameterError, match=f"k must be an integer, got {k!r}"):
+        for method in METHODS:
+            with pytest.raises(ParameterError, match=f"k must be an integer >= 1, got {k!r}"):
                 fit_method(method, train, k=k)
     fit_method("sa_procrc", train, k=np.int64(3))
 
@@ -339,7 +369,9 @@ def test_src_epsilon_fails_at_fit_time(epsilon, monkeypatch):
         fit_method("src", train, epsilon=epsilon)
     assert calls == []
     for method in ("crc", "procrc", "sa_crc", "sa_procrc"):
-        fit_method(method, train, k=4, epsilon=epsilon)  # epsilon is not used by these
+        with pytest.raises(ParameterError, match="epsilon must be finite and > 0"):
+            fit_method(method, train, k=4, epsilon=epsilon)  # checked, though not read
+    assert calls == []
 
 
 def one_shot_coders(train):

@@ -524,20 +524,38 @@ def test_classify_non_finite_parameter_exits_one(
     assert err.startswith(f"error: ParameterError: {param} must be finite")
 
 
-@pytest.mark.parametrize("method", ["crc", "src"])
+@pytest.mark.parametrize("method, flag, value, message", [
+    pytest.param("crc", "--lambda", "-1", "lambda must be finite and > 0, got -1.0",
+                 id="crc-lambda"),
+    pytest.param("src", "--lambda", "-1", "lambda must be finite and > 0, got -1.0",
+                 id="src-lambda"),
+    pytest.param("procrc", "--gamma", "-1", "gamma must be finite and >= 0, got -1.0",
+                 id="procrc-gamma"),
+    pytest.param("crc", "--gamma", "-1", "gamma must be finite and >= 0, got -1.0",
+                 id="crc-gamma"),
+    pytest.param("src", "--epsilon", "0", "epsilon must be finite and > 0, got 0.0",
+                 id="src-epsilon"),
+    pytest.param("crc", "--epsilon", "0", "epsilon must be finite and > 0, got 0.0",
+                 id="crc-epsilon"),
+    pytest.param("sa_crc", "--k", "0", "k must be an integer >= 1, got 0", id="sa_crc-k"),
+    pytest.param("src", "--k", "0", "k must be an integer >= 1, got 0", id="src-k"),
+])
 @pytest.mark.parametrize("command", ["classify", "diag"])
-def test_out_of_range_lambda_is_named_as_the_flag(tmp_path, capsys, command, method):
-    # the error names lambda, as a config's does, and not the library's
-    # lam, for every method, also one that does not read it
+def test_out_of_range_method_flag_exits_one_for_every_method(
+    tmp_path, capsys, command, method, flag, value, message
+):
+    # each flag is checked for every method, also one that does not read
+    # it, and named as a config names it (lambda, not the library's lam)
     data = make_data(tmp_path)
     capsys.readouterr()
     where = (["--test", str(data)] if command == "classify"
              else ["--sample-index", "0", "--out-dir", str(tmp_path / "diag")])
-    rc = cli.main([command, "--train", str(data), *where, "--method", method, "--lambda", "-1"])
+    rc = cli.main([command, "--train", str(data), *where, "--method", method, flag, value])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: ParameterError: lambda must be finite and > 0, got -1.0\n"
+    assert err == f"error: ParameterError: {message}\n"
+    assert not (tmp_path / "diag").exists()
 
 
 def test_fits_and_every_command_load_no_scipy(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -28,6 +29,15 @@ from rcls.errors import (
     ParameterError,
 )
 from rcls.linalg import Dictionary
+
+
+@contextlib.contextmanager
+def l1_budget(max_iter):
+    """``coders.MAX_ITER``, the l1 solver's iteration budget, set to
+    ``max_iter`` inside the with-block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coders, "MAX_ITER", max_iter)
+        yield
 
 
 def unit_columns(rng, m, n):
@@ -782,11 +792,9 @@ def test_coders_over_a_dictionary_are_bitwise_equal_and_leave_it_intact():
     assert got.support == ref.support
     assert np.array_equal(got.coeffs, ref.coeffs)
     assert got.final_residual_norm == ref.final_residual_norm
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), l1_budget(300):
         warnings.simplefilter("ignore", ConvergenceWarning)
-        assert np.array_equal(
-            l1_solve(D, y, 0.05, max_iter=300), l1_solve(X, y, 0.05, max_iter=300)
-        )
+        assert np.array_equal(l1_solve(D, y, 0.05), l1_solve(X, y, 0.05))
     assert np.array_equal(D.G, kept) and np.array_equal(D.X, X)
     with pytest.raises(DimensionError):
         fit_procrc(D, [4, 4], 0.01, 0.5)
@@ -844,17 +852,17 @@ def test_l1_solve_exact_atom_concentrates():
 def test_l1_solve_stops_at_a_residual_equal_to_epsilon():
     # step 1/2 and tau 1/2: one step lands on 0.25 exactly, with residual
     # 0.25, and the next moves nothing
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), l1_budget(2):
         warnings.simplefilter("error", ConvergenceWarning)
-        alpha = l1_solve(np.eye(2), np.array([0.5, 0.0]), 0.25, max_iter=2)
+        alpha = l1_solve(np.eye(2), np.array([0.5, 0.0]), 0.25)
     assert alpha.tolist() == [0.25, 0.0]
 
 
 def test_l1_solve_infeasible_warns():
     X = np.eye(3)[:, :2]
     y = np.array([0.0, 0.0, 1.0])
-    with pytest.warns(ConvergenceWarning):
-        alpha = l1_solve(X, y, 0.5, max_iter=200)
+    with pytest.warns(ConvergenceWarning), l1_budget(200):
+        alpha = l1_solve(X, y, 0.5)
     assert alpha.shape == (2,)
 
 
@@ -868,8 +876,9 @@ def test_l1_solve_support_recovery_and_longrun_consistency():
     y = X @ alpha_true + 0.02 * noise / np.linalg.norm(noise)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        alpha = l1_solve(X, y, 0.01, max_iter=2000)
-        alpha_long = l1_solve(X, y, 0.01, max_iter=20000)
+        alpha = l1_solve(X, y, 0.01)
+        with l1_budget(20000):
+            alpha_long = l1_solve(X, y, 0.01)
     top = np.argsort(np.abs(alpha))[-3:]
     assert set(int(i) for i in top) == set(int(i) for i in support_true)
     res = np.linalg.norm(y - X @ alpha)
@@ -881,17 +890,8 @@ def test_l1_solve_validation():
     X = np.eye(3)
     with pytest.raises(ParameterError):
         l1_solve(X, np.ones(3), 0.0)
-    with pytest.raises(ParameterError):
-        l1_solve(X, np.ones(3), 0.05, max_iter=0)
     with pytest.raises(NormalizationError):
         l1_solve(2.0 * np.eye(3), np.ones(3), 0.05)
-    # a budget that is not a count fails at the boundary, not inside range()
-    for coder in (l1_solve, lambda D, y, eps, max_iter: _l1_columns(D, y[:, None], eps, max_iter)):
-        for max_iter in (2.5, 1.0, True):
-            with pytest.raises(ParameterError, match="max_iter must be an integer"):
-                coder(Dictionary(X), np.ones(3), 0.05, max_iter)
-    assert np.array_equal(l1_solve(X, np.ones(3), 0.05, max_iter=np.int64(50)),
-                          l1_solve(X, np.ones(3), 0.05, max_iter=50))
 
 
 def padded_row(v, B):
@@ -1032,9 +1032,9 @@ def shrinkage_batches(draw):
 @given(shrinkage_batches())
 def test_l1_columns_match_the_per_sample_oracle(case):
     X, Y, epsilon, max_iter, kinds, expected = case
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, l1_budget(max_iter):
         warnings.simplefilter("always")
-        A, iterations = _l1_columns(Dictionary(X), Y, epsilon, max_iter)
+        A, iterations = _l1_columns(Dictionary(X), Y, epsilon)
     missed = []
     for j, (y, kind, exp) in enumerate(zip(Y.T, kinds, expected)):
         code, its, stops, converged = ista_oracle(X, y, epsilon, max_iter)
@@ -1064,9 +1064,9 @@ def test_l1_columns_do_not_depend_on_order_batch_or_chunks(case, data):
     N = Y.shape[1]
     alone, missed = [], set()
     for j in range(N):
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, l1_budget(max_iter):
             warnings.simplefilter("always")
-            alone.append(_l1_columns(D, Y[:, [j]], epsilon, max_iter))
+            alone.append(_l1_columns(D, Y[:, [j]], epsilon))
         if caught:
             missed.add(j)
     with warnings.catch_warnings(record=True) as caught:
@@ -1085,10 +1085,11 @@ def test_l1_columns_do_not_depend_on_order_batch_or_chunks(case, data):
             real_shrink = coders._shrink
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(coders, "CHUNK_BYTES", budget)
+                mp.setattr(coders, "MAX_ITER", max_iter)
                 mp.setattr(coders, "_shrink", shrink)
                 for cols in (order, batch):
                     caught.clear()
-                    A, iterations = _l1_columns(D, Y[:, cols], epsilon, max_iter)
+                    A, iterations = _l1_columns(D, Y[:, cols], epsilon)
                     for c, j in enumerate(cols):
                         assert np.array_equal(A[:, c], alone[j][0][:, 0])
                         assert iterations[c] == alone[j][1][0]
@@ -1111,11 +1112,11 @@ def test_l1_columns_do_not_depend_on_the_batch_at_a_realistic_shape(monkeypatch)
     D = Dictionary(X)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        alone = [_l1_columns(D, Y[:, [j]], 0.05, 2000) for j in range(40)]
+        alone = [_l1_columns(D, Y[:, [j]], 0.05) for j in range(40)]
         order = np.random.default_rng(3).permutation(40)
-        runs = [_l1_columns(D, Y, 0.05, 2000), _l1_columns(D, Y[:, order], 0.05, 2000)]
+        runs = [_l1_columns(D, Y, 0.05), _l1_columns(D, Y[:, order], 0.05)]
         monkeypatch.setattr(coders, "CHUNK_BYTES", 7 * 8 * (4 * 200 + 2 * 50))
-        runs.append(_l1_columns(D, Y[:, order], 0.05, 2000))
+        runs.append(_l1_columns(D, Y[:, order], 0.05))
     for cols, (A, iterations) in zip((range(40), order, order), runs):
         for c, j in enumerate(cols):
             assert np.array_equal(A[:, c], alone[j][0][:, 0])
@@ -1313,14 +1314,14 @@ def test_l1_columns_warn_once_for_the_column_that_misses_epsilon():
     Y[:, 3] += 0.5 * Q[:, 8:] @ unit_columns(rng, 4, 1)[:, 0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        A, iterations = _l1_columns(D, Y, 0.05, 2000)
+        A, iterations = _l1_columns(D, Y, 0.05)
     assert len(caught) == 1 and caught[0].category is ConvergenceWarning
     assert "column 3: residual" in str(caught[0].message)
     assert iterations[3] == 2000 and (iterations[[0, 1, 2, 4, 5]] < 2000).all()
     for j in (0, 1, 2, 4, 5):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            code, its = _l1_columns(D, Y[:, [j]], 0.05, 2000)
+            code, its = _l1_columns(D, Y[:, [j]], 0.05)
         assert np.array_equal(A[:, j], code[:, 0]) and iterations[j] == its[0]
         assert np.linalg.norm(Y[:, j] - X @ A[:, j]) <= 0.05
 
