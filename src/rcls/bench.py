@@ -33,7 +33,6 @@ from .classify import (
     split_blocks,
 )
 from .coders import (
-    DEFAULT_RESIDUAL_TOL,
     DEFAULT_SPARSITY,
     _l1_columns,
     _omp_columns,
@@ -208,7 +207,7 @@ class FittedSa:
     def compute_codes(self, Y):
         """One SaCodes per test sample (column of Y, checked once)."""
         dense = _project_batch(self.projector, Y, self.D.X.shape[0])
-        sparse = _omp_columns(self.D, np.asarray(Y, float), self.k, DEFAULT_RESIDUAL_TOL)
+        sparse = _omp_columns(self.D, np.asarray(Y, float), self.k)
         return [self._fuse(sp, d) for sp, d in zip(sparse, dense.T)]
 
     def _fuse(self, sp, dense):
@@ -296,6 +295,13 @@ def fit_method(
     return FittedSa(method, projector, D, L, k, blocks)
 
 
+def _fit_options(opts, train):
+    """``fit_method`` of ``opts.method`` with the four options ``opts``
+    carries: an ExperimentConfig, or the CLI's method flags."""
+    return fit_method(opts.method, train, lam=opts.lam, gamma=opts.gamma, k=opts.k,
+                      epsilon=opts.epsilon)
+
+
 def load_source(source):
     """Materialize a config's dataset: synthesize a SynthSpec, or load a
     file (.csv as text, anything else as the binary container)."""
@@ -358,10 +364,7 @@ def _run_trial(train, test, cfg, stage):
     """Accuracy (percent) of ``cfg``'s method on one trial's normalized
     partitions; the fit, code and classify times add to ``stage``."""
     t0 = time.perf_counter()
-    state = fit_method(
-        cfg.method, train,
-        lam=cfg.lam, gamma=cfg.gamma, k=cfg.k, epsilon=cfg.epsilon,
-    )
+    state = _fit_options(cfg, train)
     stage["fit"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -19,11 +19,11 @@ from .bench import (
     DEFAULT_GAMMA,
     DEFAULT_LAM,
     METHODS,
+    _fit_options,
     compare_methods,
     comparison_csv,
     comparison_text,
     dump_diagnostics,
-    fit_method,
     load_compare_configs,
     load_experiment_config,
     load_source,
@@ -106,19 +106,19 @@ def _build_parser():
     return parser
 
 
+def number(text):
+    """``--k``: an int when ``text`` is an integer, else a float, for ``check_method``."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _add_method_params(p):
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--k", type=int, default=DEFAULT_SPARSITY)
+    p.add_argument("--k", type=number, default=DEFAULT_SPARSITY)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-
-
-def _fit(args, train):
-    """``fit_method`` with the method flags, checked as a config's keys are."""
-    return fit_method(
-        args.method, train,
-        lam=args.lam, gamma=args.gamma, k=args.k, epsilon=args.epsilon,
-    )
 
 
 def _group_by_class(ds):
@@ -149,7 +149,7 @@ def _cmd_classify(args):
     unknown = next((label for label in truth if label not in known), None)
     if unknown is not None:
         raise DatasetError(f"test label {unknown} is not a label of the train file")
-    state = _fit(args, train)
+    state = _fit_options(args, train)
     predicted = state.decide_all(state.compute_codes(test.X), test.X)[0]
     correct = 0
     for dense_label, want in zip(predicted, truth):
@@ -201,7 +201,7 @@ def _cmd_diag(args):
         raise DataError(f"sample {i} is zero and cannot be normalized")
     ds = normalize_columns(ds)
     train = _group_by_class(take_columns(ds, np.delete(np.arange(ds.n), i)))
-    state = _fit(args, train)
+    state = _fit_options(args, train)
     decision, written = dump_diagnostics(state, ds.X[:, i], args.out_dir)
     predicted = ds.original_label(decision.predicted_class)
     print(f"sample {i}: true class {label}, predicted {predicted}")

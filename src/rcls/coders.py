@@ -30,8 +30,8 @@ from .linalg import (
     spd_solve,
 )
 
-DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_SPARSITY = 50
+RESIDUAL_TOL = 1e-6  # the residual norm at or below which OMP stops
 # The l1 solver's iteration budget per sample.
 MAX_ITER = 2000
 # Squared distance from the span of the support, relative to the atom's
@@ -97,7 +97,6 @@ class SparseCode:
 
     coeffs: np.ndarray
     support: tuple
-    final_residual_norm: float
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
@@ -223,45 +222,43 @@ def check_sparsity(k, m, n):
         )
 
 
-def omp(X, y, k, residual_tol=DEFAULT_RESIDUAL_TOL):
+def omp(X, y, k):
     """Greedy orthogonal matching pursuit of one sample.
 
     Per iteration: pick the atom with the largest |correlation| against the
     current residual (ties to the lowest index), extend the least-squares
     fit on the accrued support, update the correlations and the residual
-    norm (explicitly near ``residual_tol``). Stops after k atoms, when the
-    residual norm drops to ``residual_tol``, or when the residual has no
+    norm (explicitly near ``RESIDUAL_TOL``). Stops after k atoms, when the
+    residual norm drops to ``RESIDUAL_TOL``, or when the residual has no
     correlation left with any unselected atom. The chosen atom counts as
     having no correlation left when it is numerically in the span of the
     support: when its squared distance from that span (the new Cholesky
     pivot) is at most ``DEPENDENT_ATOM_TOL`` times its squared norm. So an
     atom and an exact copy of it are never both selected.
 
-    This is ``as_sample`` and the one-column case of ``_omp_columns``, which
-    codes many samples at once. ``X`` is a matrix or, to build G = X^T X
-    once for many samples, a Dictionary.
+    ``X`` is a matrix or, to build G = X^T X once for many samples, a
+    Dictionary. X, y, X's unit norms and k are checked here, in that order;
+    ``_omp_columns``, which codes many samples at once, codes the column.
     """
     D = as_dictionary(X)
-    return _omp_columns(D, as_sample(y, D.X.shape[0]), k, residual_tol)[0]
+    Y = as_sample(y, D.X.shape[0])
+    D.unit_norms
+    check_sparsity(k, *D.X.shape)
+    return _omp_columns(D, Y, k)[0]
 
 
-def _omp_columns(D, Y, k, residual_tol):
-    """``omp`` of every column of Y (m x N, already checked) over the
-    Dictionary D: one SparseCode per column.
+def _omp_columns(D, Y, k):
+    """``omp`` of every column of Y (m x N) over the Dictionary D, all
+    checked: one SparseCode per column.
 
     The columns are pursued in lockstep, in chunks whose state fits
     ``CHUNK_BYTES`` and that share one allocation of it; a column's support
-    does not depend on the other columns. X^T Y before the pursuit and the
-    final residual norms after it are one ``_row_products`` each for the
-    whole batch, so that no chunk pads them to a whole GEMM group; X^T Y
-    (N x n) is held for the batch, as the codes are. ``k`` and ``residual_tol``
-    are checked once, the unit norms by ``Dictionary.unit_norms``.
+    does not depend on the other columns. X^T Y is one ``_row_products``
+    for the whole batch, so that no chunk pads it to a whole GEMM group,
+    and is held for the batch (N x n), as the codes are.
     """
-    D.unit_norms
     X, G = D.X, D.G
     m, n = X.shape
-    check_sparsity(k, m, n)
-    check_param("residual_tol", residual_tol, zero_ok=True)
     N = Y.shape[1]
     # per column: U, L^T, z, the support and a few n- and m-vectors
     chunks = _chunks(N, 8 * (k * (n + k + 2) + 2 * n + m))
@@ -272,11 +269,8 @@ def _omp_columns(D, Y, k, residual_tol):
     corr = _row_products(Yr, X)  # X^T y per row
     coeffs = np.empty((N, n))
     supports = [s for cols in chunks
-                for s in _pursue(X, G, Yr[cols], corr[cols], k, residual_tol, panels,
-                                 coeffs[cols])]
-    norms = _residual_norms(X, Yr, coeffs).tolist()
-    return [SparseCode(coeffs=a, support=s, final_residual_norm=r)
-            for a, s, r in zip(coeffs, supports, norms)]
+                for s in _pursue(X, G, Yr[cols], corr[cols], k, panels, coeffs[cols])]
+    return [SparseCode(coeffs=a, support=s) for a, s in zip(coeffs, supports)]
 
 
 def _chunks(N, column_bytes):
@@ -286,7 +280,7 @@ def _chunks(N, column_bytes):
     return [slice(start, start + width) for start in range(0, N, width)]
 
 
-def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
+def _pursue(X, G, Yr, corr, k, panels, coeffs):
     """Lockstep OMP (Batch-OMP, Rubinstein, Zibulevsky and Elad 2008) of
     the samples in the rows of Yr, whose X^T y are the rows of ``corr``
     (updated in place), in ``panels``, the state of at least as many
@@ -302,7 +296,7 @@ def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
     correlation left, or by rounding alone with a pivot of about 0, and
     either way the sample stops. The residual test reads
     ||y||^2 - ||z||^2, or the explicit residual within 8 (i + 1) eps
-    ||y||^2 of ``residual_tol``^2, where rounding could decide it. The
+    ||y||^2 of ``RESIDUAL_TOL``^2, where rounding could decide it. The
     coefficients solve L^T x = z. The explicit residuals are
     ``_row_products`` and every other product one per sample, so a
     sample's code does not depend on the others.
@@ -311,7 +305,7 @@ def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
     U, LT, z, S = panels  # LT[r] holds L^T, upper triangular
     rest = np.einsum("rm,rm->r", Yr, Yr)  # ||y||^2 - ||z||^2
     band = (8 * np.finfo(np.float64).eps) * rest  # rest's rounding per atom
-    tol2 = float(residual_tol) ** 2
+    tol2 = RESIDUAL_TOL ** 2
     cols = rows_all = np.arange(N)
     supports = [None] * N
 
@@ -336,7 +330,7 @@ def _pursue(X, G, Yr, corr, k, residual_tol, panels, coeffs):
         small = rest <= tol2
         near = np.flatnonzero(np.abs(rest - tol2) <= (i + 1) * band)
         if near.size:
-            small[near] = _residual_norms(X, Yr[cols[near]], solve(near, i)) <= residual_tol
+            small[near] = _residual_norms(X, Yr[cols[near]], solve(near, i)) <= RESIDUAL_TOL
         a = np.abs(corr)
         J = a.argmax(axis=1)
         v = U[live, :i, J]
@@ -381,29 +375,29 @@ def l1_solve(X, y, epsilon):
     ``MAX_ITER`` steps are spent. On non-convergence the best iterate seen
     (by residual norm) is returned and a ConvergenceWarning is issued.
 
-    This is ``as_sample`` and the one-column case of ``_l1_columns``, which
-    codes many samples at once. ``X`` is a matrix or, to compute the step
-    bound 2 * lambda_max(X^T X) once for many samples, a Dictionary.
+    ``X`` is a matrix or, to compute the step bound 2 * lambda_max(X^T X)
+    once for many samples, a Dictionary. X, y, X's unit norms and epsilon
+    are checked here, in that order; ``_l1_columns`` codes the column.
     """
     D = as_dictionary(X)
-    return _l1_columns(D, as_sample(y, D.X.shape[0]), epsilon)[0][:, 0]
+    Y = as_sample(y, D.X.shape[0])
+    D.unit_norms
+    check_param("epsilon", epsilon)
+    return _l1_columns(D, Y, epsilon)[0][:, 0]
 
 
 def _l1_columns(D, Y, epsilon):
-    """``l1_solve`` of every column of Y (m x N, already checked) over the
-    Dictionary D: the codes (n x N) and the iterations each column ran.
+    """``l1_solve`` of every column of Y (m x N) over the Dictionary D, all
+    checked: the codes (n x N) and the iterations each column ran.
 
     The columns are shrunk in lockstep, in chunks whose state fits
     ``CHUNK_BYTES``; a column's code and iteration count are bitwise the
-    same whatever the other columns, their order or the chunks.
-    ``epsilon`` is checked once, the unit norms by
-    ``Dictionary.unit_norms``, and each column that misses ``epsilon``
-    within ``MAX_ITER`` steps issues one ConvergenceWarning naming it.
+    same whatever the other columns, their order or the chunks. Each
+    column that misses ``epsilon`` within ``MAX_ITER`` steps issues one
+    ConvergenceWarning naming it.
     """
-    D.unit_norms
     X = D.X
     m, n = X.shape
-    check_param("epsilon", epsilon)
     step = 1.0 / D.lipschitz
     N = Y.shape[1]
     codes = np.empty((n, N))

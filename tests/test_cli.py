@@ -247,9 +247,9 @@ def test_diag_codes_the_sample_once(tmp_path, capsys, monkeypatch):
     calls = []
     pursue = bench._omp_columns
 
-    def counting_pursuit(D, Y, k, residual_tol):
+    def counting_pursuit(D, Y, k):
         calls.append(Y.shape[1])
-        return pursue(D, Y, k, residual_tol)
+        return pursue(D, Y, k)
 
     monkeypatch.setattr(bench, "_omp_columns", counting_pursuit)
     out_dir = tmp_path / "diag"
@@ -386,6 +386,18 @@ def test_usage_errors_exit_one(capsys):
     ) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: UsageError:")
+
+
+def test_k_that_is_not_a_number_is_a_usage_error(tmp_path, capsys):
+    data = make_data(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["classify", "--train", str(data), "--test", str(data),
+                   "--method", "sa_crc", "--k", "abc"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: UsageError: ") and err.count("\n") == 1
+    assert "--k" in err
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -539,6 +551,10 @@ def test_classify_non_finite_parameter_exits_one(
                  id="crc-epsilon"),
     pytest.param("sa_crc", "--k", "0", "k must be an integer >= 1, got 0", id="sa_crc-k"),
     pytest.param("src", "--k", "0", "k must be an integer >= 1, got 0", id="src-k"),
+    # --k is parsed as a number, so a float is judged as a config's k is
+    *(pytest.param(method, "--k", value, f"k must be an integer >= 1, got {value}",
+                   id=f"{method}-k-{value}")
+      for method in ("sa_crc", "crc") for value in ("2.5", "50.0")),
 ])
 @pytest.mark.parametrize("command", ["classify", "diag"])
 def test_out_of_range_method_flag_exits_one_for_every_method(

@@ -40,6 +40,15 @@ def l1_budget(max_iter):
         yield
 
 
+@contextlib.contextmanager
+def omp_tol(tol):
+    """``coders.RESIDUAL_TOL``, the residual norm at which OMP stops, set
+    to ``tol`` inside the with-block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coders, "RESIDUAL_TOL", tol)
+        yield
+
+
 def unit_columns(rng, m, n):
     X = rng.standard_normal((m, n))
     return X / np.linalg.norm(X, axis=0)
@@ -395,19 +404,21 @@ def test_dense_fits_hold_each_large_array_once(m, sizes):
 
 
 def test_omp_canonical_single_atom():
-    sc = omp(np.eye(3), np.array([0.0, 5.0, 0.0]), 1)
+    y = np.array([0.0, 5.0, 0.0])
+    sc = omp(np.eye(3), y, 1)
     assert sc.support == (1,)
-    assert np.array_equal(sc.coeffs, np.array([0.0, 5.0, 0.0]))
-    assert sc.final_residual_norm == 0.0
+    assert np.array_equal(sc.coeffs, y)
+    assert np.linalg.norm(y - sc.coeffs) == 0.0
 
 
 def test_omp_canonical_ordered_selection():
-    sc = omp(np.eye(3), np.array([3.0, 0.0, 4.0]), 2)
+    y = np.array([3.0, 0.0, 4.0])
+    sc = omp(np.eye(3), y, 2)
     assert sc.support == (2, 0)
-    assert np.allclose(sc.coeffs, [3.0, 0.0, 4.0], rtol=0, atol=1e-12)
-    assert sc.final_residual_norm <= 1e-12
+    assert np.allclose(sc.coeffs, y, rtol=0, atol=1e-12)
+    assert np.linalg.norm(y - sc.coeffs) <= 1e-12
     with pytest.raises(ParameterError, match="support indices must be distinct"):
-        SparseCode(coeffs=sc.coeffs, support=(2, 0, 2), final_residual_norm=0.0)
+        SparseCode(coeffs=sc.coeffs, support=(2, 0, 2))
 
 
 def greedy_replay(X, y, k):
@@ -463,7 +474,7 @@ def test_omp_recovers_well_separated_support():
         sc = omp(X, y, 3)
         assert set(sc.support) == set(support_true)
         assert sc.support == greedy_replay(X, y, 3)
-        assert sc.final_residual_norm <= 1e-10
+        assert np.linalg.norm(y - X @ sc.coeffs) <= 1e-10
 
 
 def test_omp_residual_orthogonal_each_iteration():
@@ -471,7 +482,8 @@ def test_omp_residual_orthogonal_each_iteration():
     X = unit_columns(rng, 12, 20)
     y = rng.standard_normal(12)
     for j in range(1, 6):
-        sc = omp(X, y, j, residual_tol=0.0)
+        with omp_tol(0.0):
+            sc = omp(X, y, j)
         residual = y - X @ sc.coeffs
         corr = X[:, list(sc.support)].T @ residual
         assert np.abs(corr).max() <= 1e-8
@@ -481,13 +493,15 @@ def test_omp_residual_monotone():
     rng = np.random.default_rng(12)
     X = unit_columns(rng, 15, 25)
     y = rng.standard_normal(15)
-    norms = [omp(X, y, j, residual_tol=0.0).final_residual_norm for j in range(1, 10)]
+    with omp_tol(0.0):
+        norms = [np.linalg.norm(y - X @ omp(X, y, j).coeffs) for j in range(1, 10)]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_omp_stops_at_residual_tol():
     X = np.eye(4)
-    sc = omp(X, np.array([0.0, 0.0, 2.0, 0.0]), 3, residual_tol=1e-6)
+    with omp_tol(1e-6):
+        sc = omp(X, np.array([0.0, 0.0, 2.0, 0.0]), 3)
     assert sc.support == (2,)
 
 
@@ -495,7 +509,7 @@ def test_omp_stop_at_an_exact_residual_takes_the_explicit_residual(monkeypatch):
     # canonical atoms, permuted and signed, so every product has one
     # nonzero term: after the p large entries of a sample its residual is
     # exactly |t|, and ||y||^2 - ||z||^2 is t^2 only up to rounding. At
-    # residual_tol = |t| the pursuit falls back to the explicit residual and
+    # RESIDUAL_TOL = |t| the pursuit falls back to the explicit residual and
     # stops there; one ulp below |t| it takes the atom of t as well
     rng = np.random.default_rng(31)
     m, p, t = 12, 5, 0.25
@@ -511,16 +525,19 @@ def test_omp_stop_at_an_exact_residual_takes_the_explicit_residual(monkeypatch):
     monkeypatch.setattr(coders, "_residual_norms",
                         lambda X_, Yr, A: explicit.append(len(Yr)) or residual_norms(X_, Yr, A))
     D = Dictionary(X)
-    codes = _omp_columns(D, Y, m, t)
-    # the stop test's fallback, then the final residuals of the 20 columns,
-    # which all stop at the same step
-    assert len(explicit) >= 2 and explicit[-1] == 20
-    for sc, r in zip(codes, rows):
+    with omp_tol(t):
+        codes = _omp_columns(D, Y, m)
+    # the stop test's fallback, once, for the 20 columns, which all reach
+    # the tolerance at the same step
+    assert explicit == [20]
+    for y, sc, r in zip(Y.T, codes, rows):
         assert sorted(sc.support) == sorted(atom_of_row[r[:p]])
-        assert sc.final_residual_norm == t
-    for sc, r in zip(_omp_columns(D, Y, m, np.nextafter(t, 0.0)), rows):
+        assert np.linalg.norm(y - X @ sc.coeffs) == t
+    with omp_tol(np.nextafter(t, 0.0)):
+        codes = _omp_columns(D, Y, m)
+    for y, sc, r in zip(Y.T, codes, rows):
         assert sorted(sc.support) == sorted(atom_of_row[r])
-        assert sc.final_residual_norm == 0.0
+        assert np.linalg.norm(y - X @ sc.coeffs) == 0.0
 
 
 def test_omp_to_k_equal_m_on_a_full_rank_dictionary_is_least_squares():
@@ -531,7 +548,7 @@ def test_omp_to_k_equal_m_on_a_full_rank_dictionary_is_least_squares():
                                            per_class=per_class, noise_sigma=0.2, seed=1)))
     is_train = np.arange(ds.n) % per_class < 20
     X, Y = ds.X[:, is_train], np.asfortranarray(ds.X[:, ~is_train])
-    codes = _omp_columns(Dictionary(X), Y, 50, coders.DEFAULT_RESIDUAL_TOL)
+    codes = _omp_columns(Dictionary(X), Y, 50)
     sizes = set()
     for y, sc in zip(Y.T, codes):
         S = list(sc.support)
@@ -539,8 +556,7 @@ def test_omp_to_k_equal_m_on_a_full_rank_dictionary_is_least_squares():
         ls = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
         assert np.abs(sc.coeffs[S] - ls).max() <= 1e-9 * np.abs(ls).max()
         assert np.count_nonzero(sc.coeffs) == len(S)
-        assert sc.final_residual_norm == pytest.approx(np.linalg.norm(y - X @ sc.coeffs),
-                                                       rel=1e-12, abs=1e-14)
+        assert np.linalg.norm(y - X @ sc.coeffs) <= coders.RESIDUAL_TOL
     assert sizes == {49, 50}
 
 
@@ -556,16 +572,12 @@ def test_omp_input_validation():
         omp(Xu, np.ones(6), 5)
     with pytest.raises(DimensionError):
         omp(Xu, np.ones(5), 2)
-    # a tolerance that would switch the residual stop off or end every
-    # pursuit at once, and a k that is not a count, fail at the boundary
-    for coder in (omp, lambda D, y, k, tol: _omp_columns(D, y[:, None], k, tol)):
-        for tol in (float("nan"), -1.0, float("inf")):
-            with pytest.raises(ParameterError, match="residual_tol must be finite"):
-                coder(Dictionary(Xu), np.ones(6), 2, tol)
-        for k in (2.5, True, 2.0):
-            with pytest.raises(ParameterError, match="k must be an integer"):
-                coder(Dictionary(Xu), np.ones(6), k, 1e-6)
-    assert omp(Xu, np.ones(6), np.int64(2), 0.0).support == omp(Xu, np.ones(6), 2, 0.0).support
+    # a k that is not a count fails at the boundary
+    for k in (2.5, True, 2.0):
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            omp(Dictionary(Xu), np.ones(6), k)
+    with omp_tol(0.0):
+        assert omp(Xu, np.ones(6), np.int64(2)).support == omp(Xu, np.ones(6), 2).support
     D = Dictionary(Xu)
     with pytest.raises(DimensionError):
         omp(D, np.ones(5), 2)
@@ -580,9 +592,38 @@ def test_omp_input_validation():
             coder(Dictionary(Xt), np.ones(6), 2)
 
 
+def test_sparse_coders_check_their_inputs_before_a_kernel_runs(monkeypatch):
+    # omp and l1_solve check X, then the sample, then the unit norms, then
+    # k or epsilon; the batch kernels take what they checked
+    def kernel(*args):
+        raise AssertionError("a kernel ran on unchecked inputs")
+
+    monkeypatch.setattr(coders, "_omp_columns", kernel)
+    monkeypatch.setattr(coders, "_l1_columns", kernel)
+    rng = np.random.default_rng(32)
+    Xu = unit_columns(rng, 6, 4)
+    Xt = Xu.copy()
+    Xt[:, 3] *= 1.1
+    y = rng.standard_normal(6)
+    for coder, bad in ((omp, 5), (l1_solve, 0.0)):
+        with pytest.raises(NormalizationError, match="column 3 has norm 1.1"):
+            coder(Xt, y, 2)
+        with pytest.raises(NormalizationError, match="column 3"):
+            coder(Xt, y, bad)
+        with pytest.raises(ParameterError, match=r"test sample must be nonzero \(column 0\)"):
+            coder(Xu, np.zeros(6), bad)
+    with pytest.raises(ParameterError, match=r"k must be in \[1, 4\] for 6-dimensional "
+                                             r"samples and 4 atoms, got 5"):
+        omp(Xu, y, 5)
+    with pytest.raises(ParameterError, match="epsilon must be finite and > 0, got 0.0"):
+        l1_solve(Xu, y, 0.0)
+
+
 # A residual this small counts as no correlation left in the oracle; the
 # batches below make every such correlation exactly zero in the kernel.
 NUMERICAL_ZERO = 1e-12
+# The oracle's residual stop, and ``coders.RESIDUAL_TOL`` for the pursuits
+# compared with it.
 RESIDUAL_TOL = 1e-9
 
 
@@ -632,7 +673,7 @@ def pursuit_batches(draw):
       algorithms (a single nonzero product each); then the copies are
       dependent and the generic atoms decide, with no ties left, to k.
     - "residual": +-c on T only. After the |T| tied atoms the residual is
-      exactly zero, so the residual_tol stop ends the pursuit.
+      exactly zero, so the RESIDUAL_TOL stop ends the pursuit.
     - "zero": c on one tie row plus a dead-row part, or the dead-row part
       alone. Every correlation left after the tie atom (or from the start)
       is one product minus the same product, exactly zero.
@@ -692,7 +733,8 @@ def pursuit_batches(draw):
 @given(pursuit_batches())
 def test_omp_matches_lstsq_oracle_with_exact_ties(case):
     X, Y, k, kinds, n_tied = case
-    codes = _omp_columns(Dictionary(X), Y, k, RESIDUAL_TOL)
+    with omp_tol(RESIDUAL_TOL):
+        codes = _omp_columns(Dictionary(X), Y, k)
     assert len(codes) == len(kinds)
     for y, kind, sc in zip(Y.T, kinds, codes):
         support, coeffs = lstsq_omp(X, y, k, residual_tol=RESIDUAL_TOL)
@@ -704,7 +746,6 @@ def test_omp_matches_lstsq_oracle_with_exact_ties(case):
         r = y - X @ sc.coeffs
         if sc.support:
             assert np.abs(X[:, list(sc.support)].T @ r).max() <= 1e-8
-        assert sc.final_residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
         # each kind but "sparse" stops where it was built to
         expected = {
             "tie": k,
@@ -721,7 +762,8 @@ def test_omp_columns_do_not_depend_on_order_batch_or_chunks(case, data):
     X, Y, k, _, _ = case
     D = Dictionary(X)
     N = Y.shape[1]
-    alone = [omp(D, y, k, residual_tol=RESIDUAL_TOL) for y in Y.T]
+    with omp_tol(RESIDUAL_TOL):
+        alone = [omp(D, y, k) for y in Y.T]
     order = data.draw(st.permutations(range(N)))
     batch = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
     column_bytes = 8 * k * sum(X.shape)
@@ -735,10 +777,11 @@ def test_omp_columns_do_not_depend_on_order_batch_or_chunks(case, data):
 
         real_pursue = coders._pursue
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coders, "RESIDUAL_TOL", RESIDUAL_TOL)
             mp.setattr(coders, "CHUNK_BYTES", budget)
             mp.setattr(coders, "_pursue", pursue)
             for cols in (order, batch):
-                codes = _omp_columns(D, Y[:, cols], k, RESIDUAL_TOL)
+                codes = _omp_columns(D, Y[:, cols], k)
                 assert len(codes) == len(cols)
                 for j, sc in zip(cols, codes):
                     assert sc.support == alone[j].support
@@ -756,7 +799,8 @@ def test_omp_never_selects_an_atom_and_its_copy():
         X = np.hstack([base, base[:, copies] * rng.choice([-1.0, 1.0], 2)])
         X = X[:, rng.permutation(9)]
         y = rng.standard_normal(8)
-        sc = omp(X, y, 8, residual_tol=0.0)
+        with omp_tol(0.0):
+            sc = omp(X, y, 8)
         S = list(sc.support)
         # 7 independent atoms in R^8: the pursuit takes each once, then
         # finds no correlation left
@@ -775,7 +819,8 @@ def test_omp_dependent_atom_tolerance():
         s = np.sqrt(sin2)
         X = np.array([[1.0, np.sqrt(1.0 - sin2)], [0.0, s]])
         y = np.array([1.0, 1.0])
-        assert len(omp(X, y, 2, residual_tol=0.0).support) == selected
+        with omp_tol(0.0):
+            assert len(omp(X, y, 2).support) == selected
 
 
 def test_coders_over_a_dictionary_are_bitwise_equal_and_leave_it_intact():
@@ -788,10 +833,10 @@ def test_coders_over_a_dictionary_are_bitwise_equal_and_leave_it_intact():
     assert np.array_equal(
         fit_procrc(D, [4, 5], 0.01, 0.5).T, fit_procrc(X, [4, 5], 0.01, 0.5).T
     )
-    got, ref = omp(D, y, 5, residual_tol=0.0), omp(X, y, 5, residual_tol=0.0)
+    with omp_tol(0.0):
+        got, ref = omp(D, y, 5), omp(X, y, 5)
     assert got.support == ref.support
     assert np.array_equal(got.coeffs, ref.coeffs)
-    assert got.final_residual_norm == ref.final_residual_norm
     with warnings.catch_warnings(), l1_budget(300):
         warnings.simplefilter("ignore", ConvergenceWarning)
         assert np.array_equal(l1_solve(D, y, 0.05), l1_solve(X, y, 0.05))
@@ -1203,8 +1248,8 @@ def test_row_products_group_height_follows_the_operand_size(shape, height, monke
 
 
 def test_omp_columns_multiply_the_batch_by_x_once(monkeypatch):
-    # X^T y and the final residual norms are one product of the whole
-    # batch each, however the pursuit is chunked
+    # X^T y is one product of the whole batch, however the pursuit is
+    # chunked, and no residual is taken: none is near the tolerance
     rng = np.random.default_rng(30)
     D = Dictionary(unit_columns(rng, 30, 80))
     Y = rng.standard_normal((30, 20))
@@ -1226,13 +1271,12 @@ def test_omp_columns_multiply_the_batch_by_x_once(monkeypatch):
         products.clear()
         norms.clear()
         monkeypatch.setattr(coders, "CHUNK_BYTES", budget)
-        codes = _omp_columns(D, Y, 5, coders.DEFAULT_RESIDUAL_TOL)
+        codes = _omp_columns(D, Y, 5)
         assert products == [(20, (30, 80))]
-        assert norms == [20]
+        assert norms == []
         for sc, a in zip(codes, alone):
             assert sc.support == a.support
             assert np.array_equal(sc.coeffs, a.coeffs)
-            assert sc.final_residual_norm == a.final_residual_norm
 
 
 @pytest.mark.parametrize("method", ["crc", "procrc", "sa_crc", "sa_procrc"])
