@@ -279,7 +279,7 @@ def fit_method(
         D.unit_norms
         D.lipschitz  # the l1 step bound is part of the fit, not of a sample
         def coder(Y):
-            return _l1_columns(D, as_samples(Y, train.m), epsilon)[0]
+            return _l1_columns(D, as_samples(Y, train.m), epsilon)
 
         return _FittedResidual(method, coder, residual_scores, blocks)
     if method in ("crc", "sa_crc"):

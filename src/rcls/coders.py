@@ -89,20 +89,16 @@ class ProCrcProjector:
 
 @dataclass(frozen=True)
 class SparseCode:
-    """Result of a greedy sparse solve.
-
-    ``coeffs`` is dense of length n and zero off ``support``; ``support``
-    lists the atoms in selection order.
-    """
+    """Result of a greedy sparse solve, a record that checks nothing:
+    ``coeffs`` (read-only) is dense of length n and zero off ``support``,
+    the tuple of distinct atoms ``_pursue`` chose, in selection order."""
 
     coeffs: np.ndarray
     support: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
-        object.__setattr__(self, "support", tuple(np.asarray(self.support, dtype=np.intp).tolist()))
-        if len(set(self.support)) != len(self.support):
-            raise ParameterError("support indices must be distinct")
+        object.__setattr__(self, "support", tuple(self.support))
 
 
 def fit_crc(X, lam):
@@ -377,37 +373,34 @@ def l1_solve(X, y, epsilon):
 
     ``X`` is a matrix or, to compute the step bound 2 * lambda_max(X^T X)
     once for many samples, a Dictionary. X, y, X's unit norms and epsilon
-    are checked here, in that order; ``_l1_columns`` codes the column.
+    are checked here, in that order; ``_l1_columns`` codes y as one column.
     """
     D = as_dictionary(X)
     Y = as_sample(y, D.X.shape[0])
     D.unit_norms
     check_param("epsilon", epsilon)
-    return _l1_columns(D, Y, epsilon)[0][:, 0]
+    return _l1_columns(D, Y, epsilon)[:, 0]
 
 
 def _l1_columns(D, Y, epsilon):
     """``l1_solve`` of every column of Y (m x N) over the Dictionary D, all
-    checked: the codes (n x N) and the iterations each column ran.
+    checked: the codes, n x N.
 
     The columns are shrunk in lockstep, in chunks whose state fits
-    ``CHUNK_BYTES``; a column's code and iteration count are bitwise the
-    same whatever the other columns, their order or the chunks. Each
-    column that misses ``epsilon`` within ``MAX_ITER`` steps issues one
-    ConvergenceWarning naming it.
+    ``CHUNK_BYTES``; a column's code is bitwise the same whatever the
+    other columns, their order or the chunks. A column that misses
+    ``epsilon`` in ``MAX_ITER`` steps issues one ConvergenceWarning naming it.
     """
     X = D.X
     m, n = X.shape
     step = 1.0 / D.lipschitz
     N = Y.shape[1]
     codes = np.empty((n, N))
-    iterations = np.empty(N, dtype=np.intp)
     Xr = np.ascontiguousarray(X)  # row-major, for the products by X
     # per column: the iterate, the best one, the gradient and a scratch
     # n-vector, the sample and its residual
     for cols in _chunks(N, 8 * (4 * n + 2 * m)):
-        codes[:, cols], iterations[cols], missed = _shrink(
-            X, Y[:, cols], epsilon, step, Xr)
+        codes[:, cols], missed = _shrink(X, Y[:, cols], epsilon, step, Xr)
         for j, res in missed:
             warnings.warn(
                 f"l1_solve: column {cols.start + j}: residual {res:.4g} did not reach "
@@ -415,14 +408,13 @@ def _l1_columns(D, Y, epsilon):
                 ConvergenceWarning,
                 stacklevel=3,
             )
-    return codes, iterations
+    return codes
 
 
 def _shrink(X, Y, epsilon, step, Xr):
     """Lockstep iterative shrinkage of the columns of Y over the
-    column-major X, whose row-major copy is ``Xr``: the codes (n x N), the
-    iterations each column ran, and ``(column, best residual)`` of each
-    column that missed ``epsilon``.
+    column-major X, whose row-major copy is ``Xr``: the codes (n x N) and
+    ``(column, best residual)`` of each column that missed ``epsilon``.
 
     Per column: tau starts at max |X^T y| and halves after every stage; a
     stage ends after 100 steps, when no coefficient moved by more than
@@ -450,7 +442,6 @@ def _shrink(X, Y, epsilon, step, Xr):
     tau = np.abs(_row_products(Yr, Xr)).max(axis=1)
     inner = np.zeros(len(cols), dtype=np.intp)
     codes = np.empty_like(A)
-    iterations = np.empty(len(cols), dtype=np.intp)
     grad_step = 2.0 * step
     for it in range(1, MAX_ITER + 1):
         R = _row_products(A, XT)
@@ -477,17 +468,15 @@ def _shrink(X, Y, epsilon, step, Xr):
         best_res[e[better]] = res[better]
         done = e[res <= epsilon]
         codes[cols[done]] = A[done]
-        iterations[cols[done]] = it
         tau[e] *= 0.5
         inner[e] = 0
         if done.size:
             keep = np.ones(len(cols), dtype=bool)
             keep[done] = False
             if not keep.any():
-                return codes.T, iterations, []
+                return codes.T, []
             cols, A, best, best_res, tau, inner, Yr = (
                 x[keep] for x in (cols, A, best, best_res, tau, inner, Yr)
             )
     codes[cols] = best
-    iterations[cols] = MAX_ITER
-    return codes.T, iterations, list(zip(cols.tolist(), best_res.tolist()))
+    return codes.T, list(zip(cols.tolist(), best_res.tolist()))

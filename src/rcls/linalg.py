@@ -41,12 +41,21 @@ def _frozen_array(a):
     return a
 
 
+def _real_array(a, name):
+    """``a`` as an array, DataError if complex or text, whose conversion to
+    float64 drops or parses: the dtype check of every ``as_*`` checker."""
+    a = np.asarray(a)
+    if a.dtype.kind in "cUS":
+        raise DataError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a
+
+
 def as_mat(a, name="matrix"):
     """Validate and return ``a`` as a float64 column-major 2-D array.
 
-    Rejects empty shapes and non-finite entries.
+    Rejects complex and text dtypes, empty shapes and non-finite entries.
     """
-    m = np.asfortranarray(a, dtype=np.float64)
+    m = np.asfortranarray(_real_array(a, name), dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -61,23 +70,23 @@ def _check_finite(a, name):
 
 
 def as_vec(a, name="vector"):
-    """Validate and return ``a`` as a finite float64 1-D array."""
-    v = np.ascontiguousarray(a, dtype=np.float64)
+    """Validate and return ``a`` as a finite float64 1-D array; complex and
+    text dtypes are rejected."""
+    v = np.ascontiguousarray(_real_array(a, name), dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got ndim={v.ndim}")
     if v.shape[0] == 0:
         raise DimensionError(f"{name} must be nonempty")
-    if not np.isfinite(v).all():
-        raise DataError(f"{name} contains non-finite entries")
+    _check_finite(v, name)
     return v
 
 
 def as_samples(Y, m):
     """Test samples, the columns of ``Y``, checked once for the batch: a
-    float64 column-major m x N matrix, finite and with no zero column. The
-    error for a bad sample names its column. This is the one check of a
-    test sample: every coder and residual rule makes it."""
-    Y = np.asfortranarray(Y, dtype=np.float64)
+    float64 column-major m x N matrix, real, finite and with no zero
+    column. The error for a bad sample names its column. This is the one
+    check of a test sample: every coder and residual rule makes it."""
+    Y = np.asfortranarray(_real_array(Y, "y"), dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] == 0:
         raise DimensionError(f"test samples must be a nonempty matrix, got shape {Y.shape}")
     if Y.shape[0] != m:
@@ -141,16 +150,17 @@ def check_labels(labels, C):
     """The one check of dense labels: ``labels`` as an int64 array when C
     is an integer >= 1 and the labels are a nonempty 1-D vector of
     integers in 1..C in which every class appears; DatasetError, naming
-    the first bad value, otherwise. A label such as 1.7 or True is
-    rejected, not truncated or read as 1. An array of numbers holds no
-    bool; anything else is checked for one entry by entry, as
-    ``np.asarray([1, True])`` is an int array."""
+    the first bad value, otherwise. A label such as 1.7, True, "1" or
+    1+0j is rejected, not truncated or read as 1. Unless labels is an
+    integer or float array, each entry must be a real number, not a bool:
+    ``np.asarray([1, True])`` is an int array and float64 parses text."""
     check_integer("C", C, 1, DatasetError)
-    a = np.asarray(labels)
-    if not (isinstance(labels, np.ndarray) and a.dtype.kind in "iuf"):
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iuf"):
         for v in np.array(labels, dtype=object).flat:
-            if isinstance(v, (bool, np.bool_)):
-                raise DatasetError(f"label {v} is not an integer")
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                v = v.item() if isinstance(v, np.generic) else v
+                raise DatasetError(f"label {v!r} is not an integer")
+    a = np.asarray(labels)
     if a.dtype.kind not in "biu":
         f = a.astype(np.float64)
         bad = ~((np.abs(f) < 2.0**62) & (f == np.trunc(f)))

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import functools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +433,44 @@ def test_wrong_length_test_sample_raises_dimension_error(method):
                       "test samples must be a nonempty matrix")
     with pytest.raises(DimensionError, match=rf"nonempty matrix, got shape \({train.m},\)"):
         state.compute_codes(np.ones(train.m))  # a batch is a matrix in every method
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("dtype", [complex, str, bytes])
+def test_complex_and_text_arrays_are_rejected_at_every_entry_point(method, dtype):
+    # float64 would drop an imaginary part and read text as numbers (or
+    # fail on it with a bare ValueError): each checker names the array
+    # and its dtype instead
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    projectors, one_shot = one_shot_coders(train)
+    X = train.X.astype(dtype)
+    Y = X[:, :3]
+
+    def match(name, a):
+        return f"^{name} must hold real numbers, got dtype {re.escape(str(a.dtype))}$"
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        assert_same_error({method: state.compute_code, **one_shot}, Y[:, 0], DataError,
+                          match("y", Y))
+        batch_calls = {method: state.compute_codes, **{p: P.code for p, P in projectors.items()}}
+        assert_same_error(batch_calls, Y, DataError, match("y", Y))
+        assert_same_error({
+            "Dataset": lambda a: Dataset(X=a, labels=train.labels, C=train.C),
+            "Dictionary": Dictionary,
+            "omp": lambda a: omp(a, train.X[:, 0], 4),
+        }, X, DataError, match("X", X))
+        blocks = split_blocks(train.X, train.class_sizes)
+        alpha = np.ones(train.n)
+        for name, call in (
+            ("alpha", lambda a: classify_residual(blocks, train.X[:, 0], a)),
+            ("alpha_sparse", lambda a: fuse_coefficients(a, alpha)),
+            ("alpha_dense", lambda a: fuse_coefficients(alpha, a)),
+        ):
+            bad = alpha.astype(dtype)
+            with pytest.raises(DataError, match=match(name, bad)):
+                call(bad)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,27 @@ def test_every_entry_point_gives_the_same_label_error(labels, C):
         build_label_matrix(labels, C)
     assert type(from_dataset.value) is type(from_matrix.value)
     assert str(from_dataset.value) == str(from_matrix.value)
+
+
+@pytest.mark.parametrize("labels, bad", [
+    (["1", "2"], "'1'"),
+    ([b"1", b"2"], "b'1'"),
+    (["a", "b"], "'a'"),
+    ([1, "2"], "'2'"),
+    (np.array(["1", "2"]), "'1'"),
+    ([1 + 0j, 2], "(1+0j)"),
+    (np.array([1 + 0j, 2]), "(1+0j)"),
+])
+def test_text_and_complex_labels_are_not_integers_at_every_entry_point(labels, bad):
+    # neither read as numbers nor failed with a bare ValueError or a
+    # ComplexWarning: one DatasetError naming the first such label
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError) as from_dataset:
+            Dataset(X=np.ones((2, 2)), labels=labels, C=2)
+        with pytest.raises(DatasetError) as from_matrix:
+            build_label_matrix(labels, 2)
+    assert str(from_dataset.value) == str(from_matrix.value) == f"label {bad} is not an integer"
 
 
 def test_classify_residual_exact_reconstruction():
