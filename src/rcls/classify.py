@@ -10,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDecisionError,
-    DegenerateFusionError,
-    DimensionError,
+from .errors import DegenerateDecisionError, DegenerateFusionError, DimensionError
+from .linalg import (
+    _frozen_array, _residual_norms, as_mat, as_sample, as_vec, check_labels, class_slices,
 )
-from .linalg import _frozen_array, _residual_norms, as_sample, as_vec, check_labels, class_slices
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,9 @@ def residual_scores(X_blocks, Y, A):
     the columns of A, split over the blocks in order: scores[i, j] =
     ||Y_j - X_i A_ij||_2, from the rows of ``Y^T - A_i^T X_i^T``: one
     ``_row_products`` per class and one sum per row, so column j's scores
-    do not depend on the other columns. Column j's winner is its argmin."""
-    X_blocks = [np.asarray(B) for B in X_blocks]
+    do not depend on the other columns. Column j's winner is its argmin.
+    The blocks arrive checked (``split_blocks``, ``_decide_one``): the
+    kernel converts nothing and checks only shapes."""
     n = sum(B.shape[1] for B in X_blocks)
     if A.shape != (n, Y.shape[1]):
         raise DimensionError(
@@ -104,7 +103,7 @@ def regularized_residual_scores(X_blocks, Y, A):
     column where every class does is a degenerate decision.
     """
     residuals = residual_scores(X_blocks, Y, A)
-    ends = np.cumsum([np.shape(B)[1] for B in X_blocks])[:-1]
+    ends = np.cumsum([B.shape[1] for B in X_blocks])[:-1]
     norms = np.array([np.sqrt(np.einsum("rn,rn->r", A_i, A_i))
                       for A_i in np.split(np.ascontiguousarray(A.T), ends, axis=1)])
     scores = np.full(residuals.shape, np.inf)
@@ -118,19 +117,21 @@ def regularized_residual_scores(X_blocks, Y, A):
 
 
 def _decide_one(rule, X_blocks, y, alpha):
-    """The decision of a batch residual rule for one sample y with code alpha."""
+    """One sample y's decision by a batch residual rule, with code alpha;
+    each block is checked first, by ``as_mat`` as "class 2 block" and so on."""
     if not len(X_blocks):
         raise DimensionError("X_blocks must hold at least one class block")
-    Y = as_sample(y, np.shape(X_blocks[0])[0])
-    scores = rule(X_blocks, Y, as_vec(alpha, "alpha")[:, None])[:, 0]
+    blocks = [as_mat(B, f"class {i} block") for i, B in enumerate(X_blocks, 1)]
+    Y = as_sample(y, blocks[0].shape[0])
+    scores = rule(blocks, Y, as_vec(alpha, "alpha")[:, None])[:, 0]
     return _pick_class(scores, scores.min())
 
 
 def classify_residual(X_blocks, y, alpha):
     """Assign y to the class whose block reconstructs it best.
 
-    scores[i] = ||y - X_i alpha_i||_2, winner = argmin. ``y`` is checked
-    by ``as_sample``, so a bad sample raises what a coder raises for it.
+    scores[i] = ||y - X_i alpha_i||_2, winner = argmin. Each block is
+    checked by ``as_mat``, y by ``as_sample`` and alpha by ``as_vec``.
     """
     return _decide_one(residual_scores, X_blocks, y, alpha)
 
@@ -139,7 +140,7 @@ def classify_regularized_residual(X_blocks, y, alpha):
     """Residual rule with each class residual divided by its coefficient norm.
 
     A class with a zero coefficient block scores +inf and cannot win; if
-    every class does, the decision is degenerate.
+    every class does, the decision is degenerate. Checks as ``classify_residual``.
     """
     return _decide_one(regularized_residual_scores, X_blocks, y, alpha)
 
@@ -176,9 +177,7 @@ def score(L, alpha_fused):
 
 
 def split_blocks(X, class_sizes):
-    """Views of X's contiguous per-class column blocks; X must be 2-D."""
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise DimensionError(f"X must be 2-D, got ndim={X.ndim}")
+    """Views of X's contiguous class blocks, after ``as_mat`` (no copy of a Dataset's X)."""
+    X = as_mat(X, "X")
     n = X.shape[1]
     return [X[:, sl] for sl in class_slices(class_sizes, n, f"X has {n} columns")]

@@ -243,20 +243,21 @@ def spd_solve(A, B):
     solve that falls short gets one step of iterative refinement through
     the same two GEMMs; a residual that is not finite fails the check. An
     A that is not positive definite raises SingularMatrixError naming its
-    failing pivot. The operands are scanned for non-finite entries
-    (DataError) only when the solve fails, since a non-finite entry makes
-    it fail. S has the layout the GEMMs give it (row-major); a caller that
-    needs another layout makes it.
+    failing pivot. A complex or text operand raises DataError first
+    (``_real_array``); either layout is kept. The operands are scanned for
+    non-finite entries (DataError) only when the solve fails, since a
+    non-finite entry makes it fail. S has the layout the GEMMs give it
+    (row-major); a caller that needs another layout makes it.
 
     Memory: besides A, B and L^-1 (L is dropped once L^-1 is formed), the
     solve holds two arrays of B's size at a time: S with ``L^-1 B``, then S
     with the residual, ``A S`` less B in one buffer. Refinement corrects S
     and that residual in place.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = np.asarray(_real_array(A, "A"), dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise DimensionError(f"A must be square, 2-D and nonempty, got shape {A.shape}")
-    B = np.asarray(B, dtype=np.float64)
+    B = np.asarray(_real_array(B, "B"), dtype=np.float64)
     if B.ndim != 2:
         raise DimensionError(f"B must be 2-D, got ndim={B.ndim}")
     if B.shape[0] != A.shape[0] or B.size == 0:

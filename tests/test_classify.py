@@ -20,6 +20,7 @@ from rcls.coders import fit_crc, omp
 from rcls.data import Dataset
 from rcls.linalg import Dictionary
 from rcls.errors import (
+    DataError,
     DatasetError,
     DegenerateDecisionError,
     DegenerateFusionError,
@@ -197,6 +198,58 @@ def test_classify_residual_dimension_error():
     # the batch rule itself: a block of another row count than Y
     with pytest.raises(DimensionError, match="block row count does not match y"):
         residual_scores([np.eye(3), np.ones((2, 1))], np.ones((3, 2)), np.ones((4, 2)))
+
+
+ONE_SAMPLE_RULES = [classify_residual, classify_regularized_residual]
+
+
+@pytest.mark.parametrize("bad, error, text", [
+    (np.array([[1.0, np.nan], [0.5, 1.0], [0.0, 2.0]]), DataError, "contains non-finite entries"),
+    (np.array([[1.0, np.inf], [0.5, 1.0], [0.0, 2.0]]), DataError, "contains non-finite entries"),
+    (np.ones((3, 2)) + 1j, DataError, "must hold real numbers, got dtype complex128"),
+    (np.full((3, 2), "1.0"), DataError, "must hold real numbers, got dtype <U3"),
+    (np.full((3, 2), b"1.0"), DataError, "must hold real numbers, got dtype |S3"),
+    (np.ones(3), DimensionError, "must be 2-D, got ndim=1"),
+    (np.ones((3, 2, 1)), DimensionError, "must be 2-D, got ndim=3"),
+])
+@pytest.mark.parametrize("rule", ONE_SAMPLE_RULES)
+def test_a_bad_class_block_is_named_by_its_class(rule, bad, error, text):
+    # the one-sample rules check each block as a Dataset checks X, before y
+    # and alpha: no NaN scores, no imaginary part dropped, no numpy error
+    good = np.array([[1.0], [0.0], [0.0]])
+    y, alpha = np.array([0.5, 1.0, 2.0]), np.ones(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((y, alpha), (np.full(3, np.nan), np.ones(2))):
+            with pytest.raises(error) as raised:
+                rule([good, bad, good], *args)
+            assert type(raised.value) is error
+            assert str(raised.value) == f"class 2 block {text}"
+
+
+@pytest.mark.parametrize("rule", ONE_SAMPLE_RULES)
+def test_one_sample_rules_do_not_depend_on_the_block_layout_or_dtype(rule):
+    # C-order, F-order and (for integer-valued blocks) int copies of the
+    # same blocks reach the kernel as one float64 column-major array each;
+    # short, wide blocks are where the GEMM's rounding follows the layout
+    rng = np.random.default_rng(37)
+    for case in range(60):
+        m = int(rng.integers(2, 12))
+        sizes = rng.integers(1, 40, size=int(rng.integers(1, 5)))
+        blocks = [rng.standard_normal((m, int(s))) for s in sizes]
+        if case % 3 == 0:
+            blocks = [np.round(4 * B) for B in blocks]
+        y, alpha = rng.standard_normal(m), rng.standard_normal(int(sizes.sum()))
+        copies = [[np.ascontiguousarray(B) for B in blocks],
+                  [np.asfortranarray(B) for B in blocks]]
+        if case % 3 == 0:
+            copies.append([B.astype(np.int64) for B in blocks])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decisions = [rule(c, y, alpha) for c in copies]
+        for d in decisions[1:]:
+            assert d.scores.tobytes() == decisions[0].scores.tobytes()
+            assert (d.predicted_class, d.tie) == (decisions[0].predicted_class, decisions[0].tie)
 
 
 def test_regularized_residual_crc_picks_own_atom():
@@ -452,3 +505,20 @@ def test_split_blocks_views_and_validation():
     for bad in (np.ones(3), np.ones((1, 3, 1))):
         with pytest.raises(DimensionError, match=f"X must be 2-D, got ndim={bad.ndim}"):
             split_blocks(bad, [3])
+
+
+@pytest.mark.parametrize("X, text", [
+    (np.ones((3, 4)) + 1j, "X must hold real numbers, got dtype complex128"),
+    (np.full((3, 4), "1.0"), "X must hold real numbers, got dtype <U3"),
+    (np.where(np.eye(3, 4) > 0, np.nan, 1.0), "X contains non-finite entries"),
+    (np.where(np.eye(3, 4) > 0, -np.inf, 1.0), "X contains non-finite entries"),
+])
+def test_split_blocks_checks_x_as_a_dataset_does(X, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: split_blocks(X, [2, 2]),
+                     lambda: Dataset(X=X, labels=[1, 1, 2, 2], C=2)):
+            with pytest.raises(DataError) as raised:
+                call()
+            assert type(raised.value) is DataError
+            assert str(raised.value) == text

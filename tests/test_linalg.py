@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ def test_spd_solve_rejects_non_finite_operands(name, index, value):
     operands[name][index] = value
     with pytest.raises(DataError, match=f"{name} contains non-finite entries"):
         spd_solve(operands["A"], operands["B"])
+
+
+@pytest.mark.parametrize("A, B, text", [
+    (np.eye(2) + 0j, np.ones((2, 1)), "A must hold real numbers, got dtype complex128"),
+    (np.eye(2), np.ones((2, 1)) + 1j, "B must hold real numbers, got dtype complex128"),
+    (np.array([["1", "0"], ["0", "1"]]), np.ones((2, 1)), "A must hold real numbers, got dtype <U1"),
+    (np.eye(2), np.array([[b"1"], [b"1"]]), "B must hold real numbers, got dtype |S1"),
+])
+def test_spd_solve_rejects_complex_and_text_operands(A, B, text):
+    # float64 would drop an imaginary part or read text as numbers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as raised:
+            spd_solve(A, B)
+    assert type(raised.value) is DataError
+    assert str(raised.value) == text
 
 
 def test_spd_solve_scans_for_non_finite_entries_only_when_it_fails(monkeypatch):
