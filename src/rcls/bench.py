@@ -171,9 +171,9 @@ class _FittedResidual:
         self.blocks = blocks
 
     def decide_all(self, codes, Y):
-        """Predicted classes (1-based) and exact-tie flags of the samples
-        that ``compute_codes`` checked."""
-        scores = self.rule(self.blocks, Y, codes)
+        """Predicted classes (1-based) and exact-tie flags of the columns of
+        Y and their codes; Y gets the ``as_samples`` check of ``compute_codes``."""
+        scores = self.rule(self.blocks, as_samples(Y, self.blocks[0].shape[0]), codes)
         winner, tie = _winners(scores, scores.min(axis=0))
         return winner + 1, tie
 
@@ -223,7 +223,9 @@ class FittedSa:
 
     def decide_all(self, codes, Y):
         """Predicted classes (1-based) and exact-tie flags, one ``decide``
-        per sample; one code per column of Y, or DimensionError."""
+        per sample; one code per column of Y, or DimensionError. Y needs no
+        sample check: the SA rule scores the fused codes alone (``decide``
+        ignores y)."""
         if len(codes) != Y.shape[1]:
             raise DimensionError(f"{len(codes)} codes for {Y.shape[1]} samples")
         decisions = [self.decide(code, y) for code, y in zip(codes, Y.T)]

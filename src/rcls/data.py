@@ -15,6 +15,7 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,21 +89,13 @@ class Dataset:
         return tuple(int(c) for c in counts[1:])
 
 
-@dataclass(frozen=True)
-class Split:
-    """Disjoint train/test column indices, each an integer (not a bool)
-    in int64's range and >= 0; the train indices are grouped by class."""
+class Split(NamedTuple):
+    """The result of ``split``: disjoint, read-only int64 train and test
+    column indices, the train indices grouped by class. It checks nothing;
+    ``take_columns`` checks indices where they select columns."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-
-    def __post_init__(self):
-        train = _column_indices(self.train_indices)
-        test = _column_indices(self.test_indices)
-        if np.intersect1d(train, test).size:
-            raise DatasetError("train and test indices overlap")
-        object.__setattr__(self, "train_indices", _frozen_array(train))
-        object.__setattr__(self, "test_indices", _frozen_array(test))
 
 
 @dataclass(frozen=True)
@@ -322,7 +315,8 @@ def random_project(dataset, target_dim, seed):
 
 def split(dataset, per_class_train, seed):
     """Seeded uniform train/test split: exactly ``per_class_train`` training
-    samples drawn without replacement from every class."""
+    samples drawn without replacement from every class, the rest for test,
+    as a Split of read-only int64 arrays (``train, test = split(...)``)."""
     check_integer("per_class_train", per_class_train, 1)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -339,8 +333,8 @@ def split(dataset, per_class_train, seed):
         train_parts.append(np.sort(perm[:per_class_train]))
         test_parts.append(np.sort(perm[per_class_train:]))
     return Split(
-        train_indices=np.concatenate(train_parts),
-        test_indices=np.concatenate(test_parts),
+        train_indices=_frozen_array(np.concatenate(train_parts)),
+        test_indices=_frozen_array(np.concatenate(test_parts)),
     )
 
 
@@ -374,27 +368,25 @@ def synth(spec):
 def take_columns(dataset, indices):
     """Sub-dataset of the given columns, in the given order. Each index is
     an integer (not a bool) in 0..n-1; DatasetError names the first entry
-    that is not."""
+    that is not. This is the one check of column indices."""
     ix = _column_indices(indices, dataset.n)
     return replace(dataset, X=dataset.X[:, ix], labels=dataset.labels[ix])
 
 
-def _column_indices(indices, n=None):
-    """``indices`` as an int64 array, each an integer (not a bool) in 0..n-1,
-    or in int64's range when ``n`` is not given; DatasetError names the
-    first entry that is not. An integer array is checked whole, anything
-    else entry by entry."""
+def _column_indices(indices, n):
+    """``indices`` as an int64 array, each an integer (not a bool) in
+    0..n-1; DatasetError names the first entry that is not. An integer
+    array is checked whole, anything else entry by entry."""
     ix = indices if isinstance(indices, np.ndarray) else np.array(indices, dtype=object)
-    last = np.iinfo(np.int64).max if n is None else n - 1
     if ix.dtype.kind in "iu":
-        ok = (ix >= 0) & (ix <= last)
+        ok = (ix >= 0) & (ix < n)
     else:
         ok = np.array([isinstance(i, numbers.Integral) and not isinstance(i, bool)
-                       and 0 <= i <= last for i in ix.flat], dtype=bool).reshape(ix.shape)
+                       and 0 <= i < n for i in ix.flat], dtype=bool).reshape(ix.shape)
     if not ok.all():
         p = int(np.flatnonzero(~ok)[0])
         raise DatasetError(
             f"column index {ix.ravel().tolist()[p]!r} (entry {p}) is not an "
-            f"integer in 0..{last}"
+            f"integer in 0..{n - 1}"
         )
     return ix.astype(np.int64, copy=False)

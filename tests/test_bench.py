@@ -58,6 +58,7 @@ from rcls.errors import (
     DimensionError,
     NormalizationError,
     ParameterError,
+    RclsError,
 )
 from rcls.linalg import Dictionary
 
@@ -482,6 +483,30 @@ def test_decide_all_needs_one_code_per_sample(method):
     for wrong in (Y[:, :2], np.hstack([Y, Y])):  # fewer and more samples than codes
         with pytest.raises(DimensionError):
             state.decide_all(codes, wrong)
+
+
+def bad_batches(Y):
+    """A NaN, inf, zero, wrong-length, 1-D and complex variant of Y."""
+    nan, inf, zero = Y.copy(), Y.copy(), Y.copy()
+    nan[1, 1], inf[2, 1], zero[:, 1] = np.nan, np.inf, 0.0
+    return {"nan": nan, "inf": inf, "zero": zero, "long": np.vstack([Y, Y[:1]]),
+            "1-D": Y[:, 0], "complex": Y + 0j}
+
+
+@pytest.mark.parametrize("method", ["src", "crc", "procrc"])
+@pytest.mark.parametrize("case", ["nan", "inf", "zero", "long", "1-D", "complex"])
+def test_residual_decide_all_checks_y_as_compute_codes_does(method, case):
+    train = grouped_train(NOISY, per_class_train=5)
+    state = fit_method(method, train, k=4)
+    Y = np.random.default_rng(9).standard_normal((train.m, 3))
+    codes = state.compute_codes(Y)
+    bad = bad_batches(Y)[case]
+    with pytest.raises(RclsError) as want:
+        state.compute_codes(bad)
+    with pytest.raises(RclsError) as got:
+        state.decide_all(codes, bad)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("method", METHODS)
